@@ -6,10 +6,22 @@
 # WORKDIR is created if needed and seeded with the golden inputs; the
 # transcript goes to stdout. Running twice into two directories gives
 # byte-identical transcripts, and every file under WORKDIR/out
-# re-verifies with exit 0.
+# re-verifies with exit 0. The pinned transcript is golden/transcript.txt:
+#
+#     golden/run.sh WORKDIR | cmp - golden/transcript.txt
+#
+# Without an installed xmodkit console script on PATH, the commands run
+# as `python3 -m xmodkit` with this checkout's src on PYTHONPATH.
 set -eu
 here=$(cd "$(dirname "$0")" && pwd)
 work=${1:?usage: run.sh WORKDIR}
+if command -v xmodkit >/dev/null 2>&1; then
+    xmodkit() { command xmodkit "$@"; }
+else
+    PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
+    export PYTHONPATH
+    xmodkit() { python3 -m xmodkit "$@"; }
+fi
 mkdir -p "$work/out"
 cp "$here"/*.mci "$work"
 cd "$work"

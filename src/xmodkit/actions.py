@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ClosureError, StructuralError
+from .errors import StructuralError
 from .morphisms import compose, is_morphism, kernel
 from .report import CheckItem, Report
 from .structures import (
@@ -20,6 +20,7 @@ from .structures import (
     Structure,
     Subobject,
     Table2,
+    _Restriction,
     make_structure,
 )
 
@@ -82,6 +83,43 @@ def trivial_action(actor: Structure, acted: Structure, name: str | None = None) 
     return make_action(name or f"triv_{actor.name}_{acted.name}", actor, acted, dot, star)
 
 
+def restrict_action(name: str, actor: Structure, acted: Structure, keep, parts) -> DerivedAction:
+    """Componentwise action of actor on a restricted product carrier.
+
+    acted is ``restricted_product(..., components, keep)``. parts holds one
+    (action, lift) pair per component: actor element b acts on coordinate
+    i as lift_i[b] does in action_i. A Structure given as the action acts
+    on itself by conjugation and its own stars. Only lifted rows at kept
+    columns are read; a value outside keep raises ClosureError.
+    """
+    comps = [p.acted if isinstance(p, DerivedAction) else p for p, _ in parts]
+    stars = [p.star_act if isinstance(p, DerivedAction) else p.star for p, _ in parts]
+    r = _Restriction(name, comps, keep)
+    heads = [(e,) for e in actor.elements]
+
+    def dot_column(part, lift, get):
+        if isinstance(part, DerivedAction):
+            return list(map(get, map(part.dot.__getitem__, lift)))
+        add, neg = part.add, part.neg
+        return [[add[v][neg[l]] for v in get(add[l])] for l in lift]
+
+    dot = r.locate(
+        [dot_column(p, lift, get) for (p, lift), get in zip(parts, r.getters)],
+        "dot", heads, acted.elements,
+    )
+    star = {
+        sym: r.locate(
+            [
+                list(map(get, map(st[sym].__getitem__, lift)))
+                for st, (_, lift), get in zip(stars, parts, r.getters)
+            ],
+            sym, heads, acted.elements,
+        )
+        for sym in actor.profile.binary_symbols()
+    }
+    return make_action(name, actor, acted, dot, star)
+
+
 def conjugation_action(
     parent: Structure, sub: Subobject | None = None, name: str | None = None
 ) -> DerivedAction:
@@ -93,29 +131,10 @@ def conjugation_action(
         )
     if sub.parent is not parent:
         raise StructuralError("conjugation_action: subobject belongs to a different parent")
-    pos = {p: k for k, p in enumerate(sub.elements)}
-    emb = sub.embed.map
-
-    def down(v: int, what: str, b: int, k: int) -> int:
-        if v not in pos:
-            raise ClosureError(
-                f"{what} of {parent.elements[b]} on {parent.elements[emb[k]]} "
-                f"leaves the subset at {parent.elements[v]}"
-            )
-        return pos[v]
-
-    dot = tuple(
-        tuple(down(parent.conj(b, emb[k]), "conjugation", b, k) for k in range(len(emb)))
-        for b in range(parent.n)
+    return restrict_action(
+        name or f"conj_{sub.induced.name}", parent, sub.induced,
+        [(p,) for p in sub.elements], [(parent, range(parent.n))],
     )
-    star = {
-        sym: tuple(
-            tuple(down(parent.star[sym][b][emb[k]], sym, b, k) for k in range(len(emb)))
-            for b in range(parent.n)
-        )
-        for sym in parent.profile.binary_symbols()
-    }
-    return make_action(name or f"conj_{sub.induced.name}", parent, sub.induced, dot, star)
 
 
 def action_from_section(proj: Morphism, sect: Morphism, name: str | None = None) -> DerivedAction:
@@ -129,29 +148,10 @@ def action_from_section(proj: Morphism, sect: Morphism, name: str | None = None)
             f"action_from_section: {sect.name} is not a section of {proj.name}"
         )
     ker = kernel(proj)
-    whole, base = proj.dom, proj.cod
-    pos = {p: k for k, p in enumerate(ker.elements)}
-    emb = ker.embed.map
-
-    def down(v: int) -> int:
-        if v not in pos:
-            raise StructuralError(
-                f"action_from_section: value {whole.elements[v]} escapes the kernel"
-            )
-        return pos[v]
-
-    dot = tuple(
-        tuple(down(whole.conj(sect.map[b], emb[k])) for k in range(len(emb)))
-        for b in range(base.n)
+    return restrict_action(
+        name or f"sec_{proj.name}", proj.cod, ker.induced,
+        [(p,) for p in ker.elements], [(proj.dom, sect.map)],
     )
-    star = {
-        sym: tuple(
-            tuple(down(whole.star[sym][sect.map[b]][emb[k]]) for k in range(len(emb)))
-            for b in range(base.n)
-        )
-        for sym in whole.profile.binary_symbols()
-    }
-    return make_action(name or f"sec_{proj.name}", base, ker.induced, dot, star)
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,6 @@ def verify_cat1(c: Cat1Object) -> Report:
     return Report(f"cat1 {c.name}", tuple(items))
 
 
-def is_cat1(c: Cat1Object) -> bool:
-    return verify_cat1(c).ok
-
-
 def verify_cat1_morphism(m: Cat1Morphism) -> Report:
     if not (
         same_structure(m.big_map.dom, m.dom.big)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import StructuralError
 from .morphisms import is_morphism
-from .structures import Morphism, Structure, Subobject, make_structure, subobject
+from .structures import Morphism, Structure, Subobject, restricted_product, subobject
 
 
 def same_structure(a: Structure, b: Structure) -> bool:
@@ -24,36 +24,6 @@ def same_structure(a: Structure, b: Structure) -> bool:
     )
 
 
-def _pair_tables(a: Structure, b: Structure, pairs: list[tuple[int, int]]):
-    pos = {pr: k for k, pr in enumerate(pairs)}
-
-    def look(p: int, r: int, what: str) -> int:
-        k = pos.get((p, r))
-        if k is None:
-            raise StructuralError(
-                f"{what} leaves the pair carrier at ({a.elements[p]},{b.elements[r]})"
-            )
-        return k
-
-    add = tuple(
-        tuple(look(a.add[p][q], b.add[r][s], "add") for q, s in pairs) for p, r in pairs
-    )
-    neg = tuple(look(a.neg[p], b.neg[r], "neg") for p, r in pairs)
-    star = {
-        sym: tuple(
-            tuple(look(a.star[sym][p][q], b.star[sym][r][s], sym) for q, s in pairs)
-            for p, r in pairs
-        )
-        for sym in a.profile.binary_symbols()
-    }
-    omega = {
-        sym: tuple(look(a.omega[sym][p], b.omega[sym][r], sym) for p, r in pairs)
-        for sym in a.profile.unary_symbols()
-    }
-    ids = tuple(f"({a.elements[p]},{b.elements[r]})" for p, r in pairs)
-    return ids, add, neg, star, omega
-
-
 def direct_product(
     a: Structure, b: Structure, name: str | None = None
 ) -> tuple[Structure, Morphism, Morphism]:
@@ -63,9 +33,8 @@ def direct_product(
             f"product needs one profile, got {a.profile.name} and {b.profile.name}"
         )
     pairs = [(p, r) for p in range(a.n) for r in range(b.n)]
-    ids, add, neg, star, omega = _pair_tables(a, b, pairs)
     name = name or f"prod_{a.name}_{b.name}"
-    prod = make_structure(name, a.profile, ids, add, neg, star, omega)
+    prod = restricted_product(name, (a, b), pairs)
     fst = Morphism(f"fst_{name}", prod, a, tuple(p for p, _ in pairs))
     snd = Morphism(f"snd_{name}", prod, b, tuple(r for _, r in pairs))
     return prod, fst, snd
@@ -94,9 +63,8 @@ def fiber_product(
         raise StructuralError(
             f"fiber product of {alpha.name} and {beta.name}: empty carrier"
         )
-    ids, add, neg, star, omega = _pair_tables(a, b, pairs)
     name = name or f"fib_{a.name}_{b.name}"
-    fib = make_structure(name, a.profile, ids, add, neg, star, omega)
+    fib = restricted_product(name, (a, b), pairs)
     fst = Morphism(f"fst_{name}", fib, a, tuple(p for p, _ in pairs))
     snd = Morphism(f"snd_{name}", fib, b, tuple(r for _, r in pairs))
     return fib, fst, snd

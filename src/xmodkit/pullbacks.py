@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .actions import make_action
+from .actions import restrict_action
 from .cat1 import (
     Cat1Morphism,
     Cat1Object,
@@ -29,7 +29,7 @@ from .errors import StructuralError
 from .limits import fiber_product, same_structure
 from .morphisms import DEFAULT_MAX_SIZE, is_morphism
 from .report import CheckItem, Report, merge_pre
-from .structures import Morphism, make_structure
+from .structures import Morphism, _Restriction, restricted_product
 from .xmod import (
     CrossedModule,
     XModMorphism,
@@ -50,41 +50,9 @@ def pullback_xmod(
     name = name or f"pb_{x.name}_{phi.name}"
     fib, fst, snd = fiber_product(x.boundary, phi, name=f"c1_{name}")
     t = phi.dom
-    pos = {(fst.map[k], snd.map[k]): k for k in range(fib.n)}
-
-    def located(pair, ctx):
-        k = pos.get(pair)
-        if k is None:
-            raise StructuralError(f"pullback of {x.name}: {ctx} leaves the fiber")
-        return k
-
-    dot = tuple(
-        tuple(
-            located(
-                (x.action.dot[phi.map[b]][fst.map[k]], t.conj(b, snd.map[k])),
-                "the dot action",
-            )
-            for k in range(fib.n)
-        )
-        for b in range(t.n)
+    act = restrict_action(
+        f"act_{name}", t, fib, list(zip(fst.map, snd.map)), [(x.action, phi.map), (t, range(t.n))]
     )
-    star = {
-        sym: tuple(
-            tuple(
-                located(
-                    (
-                        x.action.star_act[sym][phi.map[b]][fst.map[k]],
-                        t.star[sym][b][snd.map[k]],
-                    ),
-                    f"the {sym} action",
-                )
-                for k in range(fib.n)
-            )
-            for b in range(t.n)
-        )
-        for sym in t.profile.binary_symbols()
-    }
-    act = make_action(f"act_{name}", t, fib, dot, star)
     bnd = Morphism(f"bnd_{name}", fib, t, snd.map)
     out = make_xmod(name, bnd, act)
     proj = XModMorphism(
@@ -111,21 +79,15 @@ def xmod_pullback_mediator(
         raise StructuralError(f"mediator for {f.name}: codomain differs")
     if f.bottom.map != proj.bottom.map or not same_structure(f.dom.c0, pb.c0):
         raise StructuralError(f"mediator for {f.name}: base change does not match")
-    pos = {(proj.top.map[k], pb.boundary.map[k]): k for k in range(pb.c1.n)}
-    tops = []
-    for y in range(f.dom.c1.n):
-        k = pos.get((f.top.map[y], f.dom.boundary.map[y]))
-        if k is None:
-            raise StructuralError(
-                f"mediator for {f.name}: no fiber element matches "
-                f"{f.dom.c1.elements[y]}"
-            )
-        tops.append(k)
+    fiber = _Restriction(
+        pb.c1.name, (proj.cod.c1, pb.c0), list(zip(proj.top.map, pb.boundary.map))
+    )
+    tops = fiber.image([f.top.map, f.dom.boundary.map], f"med_{f.name}", f.dom.c1.elements)
     return XModMorphism(
         f"med_{f.name}",
         f.dom,
         pb,
-        Morphism(f"med_{f.name}", f.dom.c1, pb.c1, tuple(tops)),
+        Morphism(f"med_{f.name}", f.dom.c1, pb.c1, tops),
         Morphism(f"id_{pb.c0.name}", f.dom.c0, pb.c0, tuple(range(pb.c0.n))),
     )
 
@@ -155,22 +117,16 @@ def pullback_xmod_morphism(
         raise StructuralError(f"pullback of {h.name}: base map must be the identity")
     pd, prd = pullback_xmod(h.dom, phi)
     pc, prc = pullback_xmod(h.cod, phi)
-    posc = {(prc.top.map[k], pc.boundary.map[k]): k for k in range(pc.c1.n)}
-    tops = []
-    for k in range(pd.c1.n):
-        j = posc.get((h.top.map[prd.top.map[k]], pd.boundary.map[k]))
-        if j is None:
-            raise StructuralError(
-                f"pullback of {h.name}: image leaves the fiber at "
-                f"{pd.c1.elements[k]}"
-            )
-        tops.append(j)
     name = name or f"pb_{h.name}"
+    fiber = _Restriction(pc.c1.name, (h.cod.c1, pc.c0), list(zip(prc.top.map, pc.boundary.map)))
+    tops = fiber.image(
+        [[h.top.map[v] for v in prd.top.map], pd.boundary.map], f"top_{name}", pd.c1.elements
+    )
     return XModMorphism(
         name,
         pd,
         pc,
-        Morphism(f"top_{name}", pd.c1, pc.c1, tuple(tops)),
+        Morphism(f"top_{name}", pd.c1, pc.c1, tops),
         Morphism(f"id_{pd.c0.name}", pd.c0, pc.c0, tuple(range(pd.c0.n))),
     )
 
@@ -210,63 +166,17 @@ def pullback_cat1(
     ]
     if not triples:
         raise StructuralError(f"pullback of {c.name}: empty carrier")
-    pos = {trip: j for j, trip in enumerate(triples)}
-    ids = tuple(
-        f"({t.elements[q1]},{r.elements[k]},{t.elements[q2]})" for q1, k, q2 in triples
-    )
-
-    def located(trip, ctx):
-        j = pos.get(trip)
-        if j is None:
-            raise StructuralError(f"pullback of {c.name}: {ctx} leaves the carrier")
-        return j
-
-    add = tuple(
-        tuple(
-            located(
-                (t.add[a1][b1], r.add[ak][bk], t.add[a2][b2]),
-                "addition",
-            )
-            for b1, bk, b2 in triples
-        )
-        for a1, ak, a2 in triples
-    )
-    neg = tuple(
-        located((t.neg[q1], r.neg[k], t.neg[q2]), "negation") for q1, k, q2 in triples
-    )
-    star = {
-        sym: tuple(
-            tuple(
-                located(
-                    (t.star[sym][a1][b1], r.star[sym][ak][bk], t.star[sym][a2][b2]),
-                    f"the {sym} table",
-                )
-                for b1, bk, b2 in triples
-            )
-            for a1, ak, a2 in triples
-        )
-        for sym in r.profile.binary_symbols()
-    }
-    omega = {
-        sym: tuple(
-            located(
-                (t.omega[sym][q1], r.omega[sym][k], t.omega[sym][q2]),
-                f"the {sym} table",
-            )
-            for q1, k, q2 in triples
-        )
-        for sym in r.profile.unary_symbols()
-    }
-    big = make_structure(f"big_{name}", r.profile, ids, add, neg, star, omega)
+    comps = (t, r, t)
+    big = restricted_product(f"big_{name}", comps, triples)
     src = Morphism(f"src_{name}", big, t, tuple(q1 for q1, _, _ in triples))
     tgt = Morphism(f"tgt_{name}", big, t, tuple(q2 for _, _, q2 in triples))
+    lifted = [c.embed.map[v] for v in phi.map]
     embed = Morphism(
         f"embed_{name}",
         t,
         big,
-        tuple(
-            located((q, c.embed.map[phi.map[q]], q), "the embedding")
-            for q in range(t.n)
+        _Restriction(big.name, comps, triples).image(
+            [range(t.n), lifted, range(t.n)], "embed", t.elements
         ),
     )
     pc = make_cat1(name, embed, src, tgt)
@@ -291,23 +201,19 @@ def cat1_pullback_mediator(
         raise StructuralError(f"mediator for {g.name}: codomain differs")
     if g.base_map.map != proj.base_map.map or not same_structure(g.dom.base, pc.base):
         raise StructuralError(f"mediator for {g.name}: base change does not match")
-    pos = {
-        (pc.src.map[j], proj.big_map.map[j], pc.tgt.map[j]): j for j in range(pc.big.n)
-    }
-    maps = []
-    for k in range(g.dom.big.n):
-        j = pos.get((g.dom.src.map[k], g.big_map.map[k], g.dom.tgt.map[k]))
-        if j is None:
-            raise StructuralError(
-                f"mediator for {g.name}: no carrier element matches "
-                f"{g.dom.big.elements[k]}"
-            )
-        maps.append(j)
+    triples = _Restriction(
+        pc.big.name,
+        (pc.base, proj.cod.big, pc.base),
+        list(zip(pc.src.map, proj.big_map.map, pc.tgt.map)),
+    )
+    maps = triples.image(
+        [g.dom.src.map, g.big_map.map, g.dom.tgt.map], f"med_{g.name}", g.dom.big.elements
+    )
     return Cat1Morphism(
         f"med_{g.name}",
         g.dom,
         pc,
-        Morphism(f"med_{g.name}", g.dom.big, pc.big, tuple(maps)),
+        Morphism(f"med_{g.name}", g.dom.big, pc.big, maps),
         Morphism(f"id_{pc.base.name}", g.dom.base, pc.base, tuple(range(pc.base.n))),
     )
 

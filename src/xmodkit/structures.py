@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ClosureError, StructuralError
@@ -271,7 +272,106 @@ def evaluate_law(s: Structure, law_name: str, witness: tuple[str, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subobjects
+# restricted products and subobjects
+
+
+def _getter(col: Sequence[int]):
+    """Entries of a row at the positions col, as a tuple."""
+    if len(col) == 1:
+        k = col[0]
+        return lambda row: (row[k],)
+    return itemgetter(*col)
+
+
+class _Restriction:
+    """Kept index tuples of a product of carriers and their positions.
+
+    Set-up is linear in the kept tuples, not in the size of the product.
+    Tables are read column by column: getters[i] picks coordinate i of
+    every kept tuple out of a row of component i's table.
+    """
+
+    def __init__(self, name: str, components: Sequence[Structure], keep):
+        self.name = name
+        self.components = components
+        self.cols = tuple(zip(*keep))  # coordinate i of every kept tuple
+        self.getters = list(map(_getter, self.cols))
+        self.pos = dict(zip(keep, range(len(keep))))
+
+    def labels(self, cols) -> tuple[str, ...]:
+        """Ids of the tuples whose coordinate i runs through cols[i]."""
+        names = [map(c.elements.__getitem__, col) for c, col in zip(self.components, cols)]
+        if len(names) == 1:
+            return tuple(names[0])
+        return tuple(map("({})".format, map(",".join, zip(*names))))
+
+    def locate(self, columns, op: str, heads, args: Sequence[str]) -> Table2:
+        """Positions of a table of tuples given coordinatewise.
+
+        columns[i][h] holds coordinate i of the tuples in row h, aligned
+        with args; entry (h, j) is op at heads[h] + (args[j],).
+        """
+        rows = map(zip, *columns)
+        try:
+            return tuple(map(tuple, map(map, itertools.repeat(self.pos.__getitem__), rows)))
+        except KeyError:
+            self._escape(zip(*columns), op, heads, args)
+
+    def image(self, values, op: str, args: Sequence[str]) -> Table1:
+        """Positions of one row: values[i] holds coordinate i, entry j is op at args[j]."""
+        try:
+            return tuple(map(self.pos.__getitem__, zip(*values)))
+        except KeyError:
+            self._escape([values], op, [()], args)
+
+    def _escape(self, rows, op: str, heads, args: Sequence[str]):
+        """Raise ClosureError for the first tuple outside the kept set."""
+        h, j, t = next(
+            (h, j, t)
+            for h, row in enumerate(rows)
+            for j, t in enumerate(zip(*row))
+            if t not in self.pos
+        )
+        ids = ", ".join(heads[h] + (args[j],))
+        value = self.labels([[v] for v in t])[0]
+        raise ClosureError(f"{self.name}: not closed under {op} at ({ids}) -> {value}")
+
+
+def restricted_product(
+    name: str, components: Sequence[Structure], keep: Sequence[tuple[int, ...]]
+) -> Structure:
+    """The product's componentwise tables, restricted to the kept tuples.
+
+    keep lists one index per component for each carrier element, in
+    carrier order. Element ids are the component ids, parenthesised when
+    there are several components. A value outside keep raises ClosureError.
+    """
+    r = _Restriction(name, components, keep)
+    ids = r.labels(r.cols)
+    heads = [(e,) for e in ids]
+
+    def table2(tables, op: str) -> Table2:
+        columns = [
+            list(map(get, map(t.__getitem__, col)))
+            for t, get, col in zip(tables, r.getters, r.cols)
+        ]
+        return r.locate(columns, op, heads, ids)
+
+    def table1(tables, op: str) -> Table1:
+        return r.image([get(t) for t, get in zip(tables, r.getters)], op, ids)
+
+    profile = components[0].profile
+    add = table2([c.add for c in components], "add")
+    neg = table1([c.neg for c in components], "neg")
+    star = {
+        sym: table2([c.star[sym] for c in components], sym)
+        for sym in profile.binary_symbols()
+    }
+    omega = {
+        sym: table1([c.omega[sym] for c in components], sym)
+        for sym in profile.unary_symbols()
+    }
+    return make_structure(name, profile, ids, add, neg, star, omega)
 
 
 def subobject(parent: Structure, indices: Sequence[int], name: str | None = None) -> Subobject:
@@ -284,29 +384,7 @@ def subobject(parent: Structure, indices: Sequence[int], name: str | None = None
             raise StructuralError(f"{parent.name}: subobject index {i} out of range")
     if parent.zero is None or parent.zero not in elems:
         raise ClosureError(f"{parent.name}: subset does not contain zero")
-    pos = {p: k for k, p in enumerate(elems)}
-
-    def down(value: int, op: str, args: tuple[int, ...]) -> int:
-        if value not in pos:
-            ids = ", ".join(parent.elements[a] for a in args)
-            raise ClosureError(
-                f"{parent.name}: subset not closed under {op} at ({ids}) -> {parent.elements[value]}"
-            )
-        return pos[value]
-
-    add = tuple(tuple(down(parent.add[i][j], "add", (i, j)) for j in elems) for i in elems)
-    neg = tuple(down(parent.neg[i], "neg", (i,)) for i in elems)
-    star = {
-        sym: tuple(tuple(down(parent.star[sym][i][j], sym, (i, j)) for j in elems) for i in elems)
-        for sym in parent.profile.binary_symbols()
-    }
-    omega = {
-        sym: tuple(down(parent.omega[sym][i], sym, (i,)) for i in elems)
-        for sym in parent.profile.unary_symbols()
-    }
     sub_name = name or f"{parent.name}.sub"
-    induced = make_structure(
-        sub_name, parent.profile, tuple(parent.elements[i] for i in elems), add, neg, star, omega
-    )
+    induced = restricted_product(sub_name, (parent,), [(i,) for i in elems])
     embed = Morphism(f"incl_{sub_name}", induced, parent, elems)
     return Subobject(parent, elems, induced, embed)

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .actions import DerivedAction, check_derived_action, conjugation_action, make_action
+from .actions import (
+    DerivedAction,
+    check_derived_action,
+    conjugation_action,
+    make_action,
+    restrict_action,
+)
 from .errors import IncompatibleActionError, SizeGuardError, StructuralError
 from .limits import equalizer, fiber_product, same_structure
 from .morphisms import (
@@ -24,7 +30,7 @@ from .morphisms import (
     morphism_report,
 )
 from .report import CheckItem, Report, merge_pre
-from .structures import Morphism, Structure, subobject, verify_structure
+from .structures import Morphism, Structure, _Restriction, subobject, verify_structure
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,6 @@ def verify_xmod(xm: CrossedModule) -> Report:
     return Report(f"crossed module {xm.name}", tuple(items))
 
 
-def is_xmod(xm: CrossedModule) -> bool:
-    return verify_xmod(xm).ok
-
-
 def verify_xmod_morphism(m: XModMorphism) -> Report:
     if m.top.dom is not m.dom.c1 or m.top.cod is not m.cod.c1:
         if not (same_structure(m.top.dom, m.dom.c1) and same_structure(m.top.cod, m.cod.c1)):
@@ -281,53 +283,6 @@ def slice_initial(x: Structure, name: str | None = None) -> CrossedModule:
     return inclusion_xmod(x, (x.zero,), name or f"init_{x.name}")
 
 
-def _pair_action(
-    xm1: CrossedModule,
-    xm2: CrossedModule,
-    actor: Structure,
-    fib: Structure,
-    fst: Morphism,
-    snd: Morphism,
-    lift1,
-    lift2,
-) -> DerivedAction:
-    """Diagonal action on a pair carrier; lift maps actor into each base."""
-    pos = {(fst.map[k], snd.map[k]): k for k in range(fib.n)}
-
-    def down(p: int, r: int, what: str) -> int:
-        k = pos.get((p, r))
-        if k is None:
-            raise StructuralError(f"{what} leaves the pair carrier")
-        return k
-
-    dot = tuple(
-        tuple(
-            down(
-                xm1.action.dot[lift1(b)][fst.map[k]],
-                xm2.action.dot[lift2(b)][snd.map[k]],
-                "dot",
-            )
-            for k in range(fib.n)
-        )
-        for b in range(actor.n)
-    )
-    star = {
-        sym: tuple(
-            tuple(
-                down(
-                    xm1.action.star_act[sym][lift1(b)][fst.map[k]],
-                    xm2.action.star_act[sym][lift2(b)][snd.map[k]],
-                    sym,
-                )
-                for k in range(fib.n)
-            )
-            for b in range(actor.n)
-        )
-        for sym in actor.profile.binary_symbols()
-    }
-    return make_action(f"diag_{fib.name}", actor, fib, dot, star)
-
-
 def xmod_fiber_product(
     xm1: CrossedModule, xm2: CrossedModule, name: str | None = None
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
@@ -341,7 +296,10 @@ def xmod_fiber_product(
     fib, fst, snd = fiber_product(xm1.boundary, xm2.boundary, name=f"c1_{name}")
     base = xm1.c0
     bnd = Morphism(f"bnd_{name}", fib, base, tuple(xm1.boundary.map[p] for p in fst.map))
-    act = _pair_action(xm1, xm2, base, fib, fst, snd, lambda b: b, lambda b: b)
+    act = restrict_action(
+        f"diag_{fib.name}", base, fib, list(zip(fst.map, snd.map)),
+        [(xm1.action, range(base.n)), (xm2.action, range(base.n))],
+    )
     out = make_xmod(name, bnd, act)
     p1 = XModMorphism(f"fst_{name}", out, xm1, fst, identity_morphism(base))
     p2 = XModMorphism(f"snd_{name}", out, xm2, snd, identity_morphism(base))
@@ -429,15 +387,9 @@ def slice_pullback(
     ind_g = induced_xmod(g, name=f"ind_{g.name}")
     fib, q1, q2 = xmod_fiber_product(ind_f, ind_g, name=name)
     base = f.dom.c0
-    act = _pair_action(
-        f.dom,
-        g.dom,
-        base,
-        fib.c1,
-        q1.top,
-        q2.top,
-        lambda b: b,
-        lambda b: b,
+    act = restrict_action(
+        f"diag_{fib.c1.name}", base, fib.c1, list(zip(q1.top.map, q2.top.map)),
+        [(f.dom.action, range(base.n)), (g.dom.action, range(base.n))],
     )
     out = compose_xmod(fib, f.cod, act, name=name)
     p1 = XModMorphism(f"fst_{name}", out, f.dom, q1.top, identity_morphism(base))
@@ -472,33 +424,19 @@ def xmod_equalizer(
     e1 = equalizer(f.top, g.top, name=f"eq1_{f.name}_{g.name}")
     e0 = equalizer(f.bottom, g.bottom, name=f"eq0_{f.name}_{g.name}")
     src = f.dom
-    pos1 = {p: k for k, p in enumerate(e1.elements)}
-    pos0 = {p: k for k, p in enumerate(e0.elements)}
-
-    def down(table, value: int, what: str) -> int:
-        k = table.get(value)
-        if k is None:
-            raise StructuralError(f"xmod_equalizer: {what} escapes the equalizer")
-        return k
-
+    into_e0 = _Restriction(e0.induced.name, (src.c0,), [(p,) for p in e0.elements])
     bnd = Morphism(
         f"bnd_eq_{f.name}",
         e1.induced,
         e0.induced,
-        tuple(down(pos0, src.boundary.map[p], "boundary") for p in e1.elements),
+        into_e0.image(
+            [[src.boundary.map[p] for p in e1.elements]], "boundary", e1.induced.elements
+        ),
     )
-    dot = tuple(
-        tuple(down(pos1, src.action.dot[b][x], "dot") for x in e1.elements)
-        for b in e0.elements
+    act = restrict_action(
+        f"eqact_{f.name}", e0.induced, e1.induced,
+        [(p,) for p in e1.elements], [(src.action, e0.elements)],
     )
-    star = {
-        sym: tuple(
-            tuple(down(pos1, src.action.star_act[sym][b][x], sym) for x in e1.elements)
-            for b in e0.elements
-        )
-        for sym in src.c0.profile.binary_symbols()
-    }
-    act = make_action(f"eqact_{f.name}", e0.induced, e1.induced, dot, star)
     out = make_xmod(name or f"eq_{f.name}_{g.name}", bnd, act)
     incl = XModMorphism(f"incl_{out.name}", out, src, e1.embed, e0.embed)
     return out, incl
@@ -508,58 +446,13 @@ def xmod_equalizer(
 # morphism search and universal properties
 
 
-def enumerate_slice_morphisms(
-    dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
+def _square_pairs(
+    dom: CrossedModule, cod: CrossedModule, tops, bottoms, prefix: str
 ) -> list[XModMorphism]:
-    """All morphisms with identity bottom between objects over one base."""
-    if not same_structure(dom.c0, cod.c0):
-        raise StructuralError(
-            f"slice morphisms between {dom.name} and {cod.name}: bases differ"
-        )
-    base = dom.c0
+    """Candidate (top, bottom) pairs that commute with the boundaries and
+    respect the dot and star actions; names are prefix, count, endpoints.
+    """
     dbnd, cbnd = dom.boundary.map, cod.boundary.map
-    out = []
-    for cand in enumerate_morphisms(dom.c1, cod.c1, max_size):
-        h = cand.map
-        if any(cbnd[h[x]] != dbnd[x] for x in range(dom.c1.n)):
-            continue
-        if any(
-            h[dom.action.dot[b][x]] != cod.action.dot[b][h[x]]
-            for b in range(base.n)
-            for x in range(dom.c1.n)
-        ):
-            continue
-        bad = False
-        for sym in base.profile.binary_symbols():
-            dt, ct = dom.action.star_act[sym], cod.action.star_act[sym]
-            if any(
-                h[dt[b][x]] != ct[b][h[x]]
-                for b in range(base.n)
-                for x in range(dom.c1.n)
-            ):
-                bad = True
-                break
-        if bad:
-            continue
-        out.append(
-            XModMorphism(
-                f"sl{len(out)}_{dom.name}_{cod.name}",
-                dom,
-                cod,
-                Morphism(cand.name, dom.c1, cod.c1, h),
-                Morphism(f"id_{base.name}", dom.c0, cod.c0, tuple(range(base.n))),
-            )
-        )
-    return out
-
-
-def enumerate_xmod_morphisms(
-    dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
-) -> list[XModMorphism]:
-    """All (top, bottom) morphism pairs between two crossed modules."""
-    dbnd, cbnd = dom.boundary.map, cod.boundary.map
-    tops = enumerate_morphisms(dom.c1, cod.c1, max_size)
-    bottoms = enumerate_morphisms(dom.c0, cod.c0, max_size)
     out = []
     for bot_m in bottoms:
         bot = bot_m.map
@@ -587,7 +480,7 @@ def enumerate_xmod_morphisms(
                 continue
             out.append(
                 XModMorphism(
-                    f"xm{len(out)}_{dom.name}_{cod.name}",
+                    f"{prefix}{len(out)}_{dom.name}_{cod.name}",
                     dom,
                     cod,
                     Morphism(top_m.name, dom.c1, cod.c1, top),
@@ -595,6 +488,28 @@ def enumerate_xmod_morphisms(
                 )
             )
     return out
+
+
+def enumerate_slice_morphisms(
+    dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
+) -> list[XModMorphism]:
+    """All morphisms with identity bottom between objects over one base."""
+    if not same_structure(dom.c0, cod.c0):
+        raise StructuralError(
+            f"slice morphisms between {dom.name} and {cod.name}: bases differ"
+        )
+    base = dom.c0
+    ident = Morphism(f"id_{base.name}", dom.c0, cod.c0, tuple(range(base.n)))
+    return _square_pairs(dom, cod, enumerate_morphisms(dom.c1, cod.c1, max_size), [ident], "sl")
+
+
+def enumerate_xmod_morphisms(
+    dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
+) -> list[XModMorphism]:
+    """All (top, bottom) morphism pairs between two crossed modules."""
+    tops = enumerate_morphisms(dom.c1, cod.c1, max_size)
+    bottoms = enumerate_morphisms(dom.c0, cod.c0, max_size)
+    return _square_pairs(dom, cod, tops, bottoms, "xm")
 
 
 def find_xmod_isomorphism(

@@ -422,6 +422,9 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch, capsys):
     first = replay(tmp_path / "run1")
     second = replay(tmp_path / "run2")
     assert first == second
+    # byte for byte the pinned transcript, in golden/run.sh's record format
+    transcript = "".join(f"$ xmodkit {line}\n{out}exit {code}\n" for line, code, out, _ in first)
+    assert transcript == (GOLDEN / "transcript.txt").read_text(encoding="utf-8")
     assert all(code == 0 for _, code, _, _ in first)
 
     outputs = sorted((tmp_path / "run1" / "out").glob("*.mci"))

@@ -15,6 +15,7 @@ from xmodkit.actions import (
     conjugation_action,
     is_derived_action,
     make_action,
+    restrict_action,
     semidirect_product,
     trivial_action,
 )
@@ -82,8 +83,13 @@ def test_conjugation_action_on_rotations():
 def test_conjugation_needs_ideal():
     s3 = oracle_s3()
     flip = subobject(s3, (0, 3), name="flip")
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="^conj_flip: not closed under dot at "):
         conjugation_action(s3, flip)
+    # the shape of action_from_section: an actor lifted into s3 conjugates
+    # the flip subgroup by a rotation
+    z2 = oracle_cyclic(2, "z2")
+    with pytest.raises(ClosureError, match="^lifted: not closed under dot at "):
+        restrict_action("lifted", z2, flip.induced, [(0,), (3,)], [(s3, (0, 1))])
 
 
 def test_conjugation_on_whole_structure():

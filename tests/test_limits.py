@@ -14,7 +14,7 @@ from xmodkit.morphisms import (
     find_isomorphism,
     is_morphism,
 )
-from xmodkit.structures import verify_structure
+from xmodkit.structures import restricted_product, verify_structure
 
 from conftest import hom, oracle_cyclic, oracle_poly
 
@@ -42,6 +42,15 @@ def test_product_tables_match_pair_arithmetic(z2, z3):
     for i in range(2):
         for j in range(3):
             assert p.neg[3 * i + j] == 3 * ((-i) % 2) + ((-j) % 3)
+    # three coordinates, the (outer, middle, outer) carrier of a pulled-back
+    # split object: triples of z2 x z3 x z2 whose outer coordinates agree
+    keep = [(i, j, k) for i in range(2) for j in range(3) for k in range(2) if i == k]
+    t = restricted_product("t", (z2, z3, z2), keep)
+    assert t.elements[keep.index((1, 2, 1))] == "(1,2,1)"
+    for x, (i1, j1, k1) in enumerate(keep):
+        assert t.neg[x] == keep.index(((-i1) % 2, (-j1) % 3, (-k1) % 2))
+        for y, (i2, j2, k2) in enumerate(keep):
+            assert t.add[x][y] == keep.index(((i1 + i2) % 2, (j1 + j2) % 3, (k1 + k2) % 2))
 
 
 def test_product_is_cyclic_when_coprime(z2, z3):

@@ -16,7 +16,7 @@ from xmodkit.cat1 import (
     xmod_morphism_to_cat1,
     xmod_to_cat1,
 )
-from xmodkit.errors import StructuralError
+from xmodkit.errors import ClosureError, StructuralError
 from xmodkit.morphisms import identity_morphism
 from xmodkit.pullbacks import (
     cat1_pullback_mediator,
@@ -134,6 +134,12 @@ def test_mediator_requires_matching_base_change():
     )
     with pytest.raises(StructuralError):
         xmod_pullback_mediator(pb, proj, bad)
+    # a square that does not commute has no image in the fiber
+    phi = double_into(z4)
+    y = inclusion_xmod(phi.dom, (0,))
+    skew = XModMorphism("skew", y, xm, Morphism("one", y.c1, z4, (1,)), phi)
+    with pytest.raises(ClosureError, match=r"not closed under med_skew at \(0\) -> \(1,0\)$"):
+        xmod_pullback_mediator(pb, proj, skew)
 
 
 def test_preimage_matches_pullback_for_groups():

@@ -16,6 +16,7 @@ from xmodkit.profiles import get_profile
 from xmodkit.structures import (
     evaluate_law,
     make_structure,
+    restricted_product,
     structure_laws,
     subobject,
     verify_structure,
@@ -183,8 +184,14 @@ def test_subobject_closed():
 
 
 def test_subobject_not_closed():
-    with pytest.raises(ClosureError):
-        subobject(cyclic(4), (0, 1))
+    z4 = cyclic(4)
+    with pytest.raises(ClosureError, match=r"^z4\.sub: not closed under add at \(1, 1\) -> 2$"):
+        subobject(z4, (0, 1))
+    # two coordinates, the carrier shape of products and fiber products
+    with pytest.raises(
+        ClosureError, match=r"^pairs: not closed under add at \(\(1,2\), \(1,2\)\) -> \(2,0\)$"
+    ):
+        restricted_product("pairs", (z4, z4), [(0, 0), (1, 2)])
 
 
 def test_opposite_tables_autogenerated():

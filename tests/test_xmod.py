@@ -9,8 +9,10 @@ validated against brute force in its own test module).
 import pytest
 
 from xmodkit.actions import make_action, trivial_action
+from xmodkit.cat1 import make_cat1, xmod_to_cat1
 from xmodkit.errors import ClosureError, IncompatibleActionError, StructuralError
 from xmodkit.morphisms import identity_morphism, is_morphism
+from xmodkit.pullbacks import pullback_cat1, pullback_xmod
 from xmodkit.structures import Morphism, subobject
 from xmodkit.xmod import (
     XModMorphism,
@@ -74,8 +76,27 @@ def test_algebra_inclusion_passes_with_star_items():
 
 def test_inclusion_requires_ideal():
     s3 = oracle_s3()
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="not closed under dot"):
         inclusion_xmod(s3, (0, 3))
+    # an action that ignores the boundary leaves every pair carrier
+    bad = make_xmod("bad", identity_morphism(s3), trivial_action(s3, s3))
+    with pytest.raises(ClosureError, match="^diag_c1_fib_bad_term_s3: not closed under dot"):
+        xmod_fiber_product(bad, slice_terminal(s3))
+    with pytest.raises(ClosureError, match="^act_pb_bad_id_s3: not closed under dot"):
+        pullback_xmod(bad, identity_morphism(s3))
+    # bottoms that disagree on a boundary value
+    xm = xm_z2_z4()
+    z4 = xm.c0
+    zero = Morphism("zero", z4, z4, (0, 0, 0, 0))
+    g = XModMorphism("g", xm, xm, identity_morphism(xm.c1), zero)
+    with pytest.raises(ClosureError, match=r"not closed under boundary at \(1\) -> 2$"):
+        xmod_equalizer(xmod_identity(xm), g)
+    # a source leg that is not additive breaks the triples of a split object
+    c = xmod_to_cat1(xm)
+    src = Morphism("src", c.big, z4, tuple((k + k // 4) % 4 for k in range(8)))
+    skew = make_cat1("skew", c.embed, src, c.tgt)
+    with pytest.raises(ClosureError, match="^big_pb_skew_id_z4: not closed under add"):
+        pullback_cat1(skew, identity_morphism(z4))
 
 
 def test_peiffer_failure_detected():
