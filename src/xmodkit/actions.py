@@ -3,8 +3,11 @@
 An action of B on A is a dot table (group action data) plus one mixed
 star table per binary symbol, opposites included: star_act[sym][b][a]
 stores b sym a, and a sym b is read from the opposite table. The checker
-runs twelve quantified conditions; the last one is evaluated inside the
-assembled product because it constrains sums of star values there.
+runs twelve quantified conditions as laws of the engine in :mod:`terms`,
+listed in ``_ACTION_LAWS``; symbol variables range over the star and
+unary symbols. Condition 12 constrains sums of star values inside the
+semidirect product, so it runs over the product's star values, with the
+product's add rows made only at those values.
 """
 
 from __future__ import annotations
@@ -14,15 +17,18 @@ from typing import Mapping
 
 from .errors import StructuralError
 from .morphisms import compose, is_morphism, kernel
-from .report import CheckItem, Report
+from .report import CheckItem, Report, check
 from .structures import (
     Morphism,
     Structure,
     Subobject,
     Table2,
     _Restriction,
+    carrier,
     make_structure,
+    operations,
 )
+from .terms import first_violation, law_table
 
 
 @dataclass(frozen=True)
@@ -158,36 +164,45 @@ def action_from_section(proj: Morphism, sect: Morphism, name: str | None = None)
 # the twelve conditions
 
 
-def _product_tables(act: DerivedAction):
-    a, b, dot, sa = act.acted, act.actor, act.dot, act.star_act
+def _product_rows(act: DerivedAction, op: str, rows):
+    """Rows of the semidirect product's add or star table at the given indices.
+
+    Product index ia * |B| + ib stands for the pair (ia, ib).
+    """
+    a, b, dot = act.acted, act.actor, act.dot
     bn = b.n
     pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
-    ids = tuple(f"({a.elements[ia]},{b.elements[ib]})" for ia, ib in pairs)
-    at = lambda ia, ib: ia * bn + ib  # noqa: E731
+    if op == "add":
+        for i1, j1 in map(pairs.__getitem__, rows):
+            yield tuple(a.add[i1][dot[j1][i2]] * bn + b.add[j1][j2] for i2, j2 in pairs)
+        return
+    aster, bster = a.star[op], b.star[op]
+    mixed, mixed_op = act.star_act[op], act.star_act[b.profile.opposite_of(op)]
+    for i1, j1 in map(pairs.__getitem__, rows):
+        yield tuple(
+            a.add[a.add[aster[i1][i2]][mixed_op[j2][i1]]][mixed[j1][i2]] * bn + bster[j1][j2]
+            for i2, j2 in pairs
+        )
 
-    add = tuple(
-        tuple(at(a.add[i1][dot[j1][i2]], b.add[j1][j2]) for i2, j2 in pairs)
-        for i1, j1 in pairs
-    )
-    neg = tuple(at(dot[b.neg[j]][a.neg[i]], b.neg[j]) for i, j in pairs)
-    star = {}
-    for sym in b.profile.binary_symbols():
-        opp = b.profile.opposite_of(sym)
-        aster, bster = a.star[sym], b.star[sym]
-        mixed, mixed_op = sa[sym], sa[opp]
-        rows = []
-        for i1, j1 in pairs:
-            row = []
-            for i2, j2 in pairs:
-                mix = a.add[a.add[aster[i1][i2]][mixed_op[j2][i1]]][mixed[j1][i2]]
-                row.append(at(mix, bster[j1][j2]))
-            rows.append(tuple(row))
-        star[sym] = tuple(rows)
+
+def _product_ids(act: DerivedAction) -> tuple[str, ...]:
+    a, b = act.acted, act.actor
+    return tuple(f"({x},{y})" for x in a.elements for y in b.elements)
+
+
+def _product_tables(act: DerivedAction):
+    a, b, dot = act.acted, act.actor, act.dot
+    bn = b.n
+    pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
+    everything = range(len(pairs))
+    add = tuple(_product_rows(act, "add", everything))
+    neg = tuple(dot[b.neg[j]][a.neg[i]] * bn + b.neg[j] for i, j in pairs)
+    star = {sym: tuple(_product_rows(act, sym, everything)) for sym in b.profile.binary_symbols()}
     omega = {
-        sym: tuple(at(a.omega[sym][i], b.omega[sym][j]) for i, j in pairs)
+        sym: tuple(a.omega[sym][i] * bn + b.omega[sym][j] for i, j in pairs)
         for sym in b.profile.unary_symbols()
     }
-    return ids, add, neg, star, omega
+    return _product_ids(act), add, neg, star, omega
 
 
 def semidirect_product(
@@ -204,203 +219,68 @@ def semidirect_product(
     return prod, inj, proj, sect
 
 
+# sorts: A acted, B actor, S star symbols, U unary symbols; act[s], A*[s],
+# B*[s], A~[u] and B~[u] pick the table of a symbol
+_ACTION_LAWS = (
+    ("cond-1", "x:A", "(dot (B.0) x) = x", "A"),
+    ("cond-2", "j:B x y:A", "(dot j (A.add x y)) = (A.add (dot j x) (dot j y))", "A"),
+    ("cond-3", "j1 j2:B x:A", "(dot (B.add j1 j2) x) = (dot j1 (dot j2 x))", "A"),
+    ("cond-4", "s:S j:B x y:A", "(act[s] j (A.add x y)) = (A.add (act[s] j x) (act[s] j y))", "A"),
+    ("cond-5", "s:S j1 j2:B x:A",
+     "(act[s] (B.add j1 j2) x) = (A.add (act[s] j1 x) (act[s] j2 x))", "A"),
+    ("cond-6", "s:S j1 j2:B t:S x y:A", "(dot (B*[s] j1 j2) (A*[t] x y)) = (A*[t] x y)", "A"),
+    ("cond-7", "s:S j1 j2:B t:S j:B x:A", "(dot (B*[s] j1 j2) (act[t] j x)) = (act[t] j x)", "A"),
+    ("cond-8", "s:S x:A j:B y:A", "(A*[s] x (dot j y)) = (A*[s] x y)", "A"),
+    ("cond-9", "s:S j j1:B x:A", "(act[s] j (dot j1 x)) = (act[s] j x)", "A"),
+    ("cond-10", "u:U j:B x:A", "(A~[u] (dot j x)) = (dot (B~[u] j) (A~[u] x))", "A"),
+    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] j (A~[u] x))", "A",
+     "acted slot: lhs={lhs} rhs={rhs}", "(S-kind[u])"),
+    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] (B~[u] j) x)", "A",
+     "actor slot: lhs={lhs} rhs={rhs}", "(S-kind[u])"),
+    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] (B~[u] j) (A~[u] x))", "A",
+     "lhs={lhs} rhs={rhs}", "(D-kind[u])"),
+    # V: the distinct star values of the product, in index order
+    ("cond-12", "u v:V", "(add u v) = (add v u)", "V"),
+)
+
+
 def check_derived_action(act: DerivedAction) -> Report:
-    a, b, dot, sa = act.acted, act.actor, act.dot, act.star_act
+    a, b = act.acted, act.actor
     syms = b.profile.binary_symbols()
     usyms = b.profile.unary_symbols()
-    aid, bid = a.elements, b.elements
-    items: list[CheckItem] = []
+    kinds = [b.profile.unary_kind(u) == "S" for u in usyms]
+    sorts = {
+        "A": carrier(a), "B": carrier(b),
+        "S": (range(len(syms)), syms), "U": (range(len(usyms)), usyms),
+    }
+    ops = {
+        **operations(a, "A."), **operations(b, "B."), "dot": act.dot,
+        "act": tuple(act.star_act[s] for s in syms),
+        "A*": tuple(a.star[s] for s in syms), "B*": tuple(b.star[s] for s in syms),
+        "A~": tuple(a.omega[u] for u in usyms), "B~": tuple(b.omega[u] for u in usyms),
+        "S-kind": kinds, "D-kind": [not k for k in kinds],
+    }
+    *laws, commute = law_table(_ACTION_LAWS)
+    items = [check(lw, sorts, ops) for lw in laws]
 
-    def emit(law: str, witness=None, detail: str = "") -> None:
-        if witness is None:
-            items.append(CheckItem(law, True))
-        else:
-            items.append(CheckItem(law, False, witness, detail))
-
-    def scan(law, gen):
-        for wit in gen:
-            emit(law, *wit)
-            return
-        emit(law)
-
-    def c1():
-        row = dot[b.zero]
-        for x in range(a.n):
-            if row[x] != x:
-                yield (aid[x],), f"lhs={aid[row[x]]} rhs={aid[x]}"
-                return
-
-    def c2():
-        for j in range(b.n):
-            drow = dot[j]
-            for x in range(a.n):
-                for y in range(a.n):
-                    l, r = drow[a.add[x][y]], a.add[drow[x]][drow[y]]
-                    if l != r:
-                        yield (bid[j], aid[x], aid[y]), f"lhs={aid[l]} rhs={aid[r]}"
-                        return
-
-    def c3():
-        for j1 in range(b.n):
-            for j2 in range(b.n):
-                drow = dot[b.add[j1][j2]]
-                for x in range(a.n):
-                    l, r = drow[x], dot[j1][dot[j2][x]]
-                    if l != r:
-                        yield (bid[j1], bid[j2], aid[x]), f"lhs={aid[l]} rhs={aid[r]}"
-                        return
-
-    def c4():
-        for sym in syms:
-            t = sa[sym]
-            for j in range(b.n):
-                row = t[j]
-                for x in range(a.n):
-                    for y in range(a.n):
-                        l, r = row[a.add[x][y]], a.add[row[x]][row[y]]
-                        if l != r:
-                            yield (sym, bid[j], aid[x], aid[y]), f"lhs={aid[l]} rhs={aid[r]}"
-                            return
-
-    def c5():
-        for sym in syms:
-            t = sa[sym]
-            for j1 in range(b.n):
-                for j2 in range(b.n):
-                    row = t[b.add[j1][j2]]
-                    for x in range(a.n):
-                        l, r = row[x], a.add[t[j1][x]][t[j2][x]]
-                        if l != r:
-                            yield (sym, bid[j1], bid[j2], aid[x]), f"lhs={aid[l]} rhs={aid[r]}"
-                            return
-
-    def c6():
-        for sym in syms:
-            bt = b.star[sym]
-            for j1 in range(b.n):
-                for j2 in range(b.n):
-                    drow = dot[bt[j1][j2]]
-                    for tau in syms:
-                        at = a.star[tau]
-                        for x in range(a.n):
-                            for y in range(a.n):
-                                v = at[x][y]
-                                if drow[v] != v:
-                                    yield (
-                                        (sym, bid[j1], bid[j2], tau, aid[x], aid[y]),
-                                        f"lhs={aid[drow[v]]} rhs={aid[v]}",
-                                    )
-                                    return
-
-    def c7():
-        for sym in syms:
-            bt = b.star[sym]
-            for j1 in range(b.n):
-                for j2 in range(b.n):
-                    drow = dot[bt[j1][j2]]
-                    for tau in syms:
-                        t = sa[tau]
-                        for j in range(b.n):
-                            for x in range(a.n):
-                                v = t[j][x]
-                                if drow[v] != v:
-                                    yield (
-                                        (sym, bid[j1], bid[j2], tau, bid[j], aid[x]),
-                                        f"lhs={aid[drow[v]]} rhs={aid[v]}",
-                                    )
-                                    return
-
-    def c8():
-        for sym in syms:
-            at = a.star[sym]
-            for x in range(a.n):
-                row = at[x]
-                for j in range(b.n):
-                    drow = dot[j]
-                    for y in range(a.n):
-                        l, r = row[drow[y]], row[y]
-                        if l != r:
-                            yield (sym, aid[x], bid[j], aid[y]), f"lhs={aid[l]} rhs={aid[r]}"
-                            return
-
-    def c9():
-        for sym in syms:
-            t = sa[sym]
-            for j in range(b.n):
-                row = t[j]
-                for j1 in range(b.n):
-                    drow = dot[j1]
-                    for x in range(a.n):
-                        l, r = row[drow[x]], row[x]
-                        if l != r:
-                            yield (sym, bid[j], bid[j1], aid[x]), f"lhs={aid[l]} rhs={aid[r]}"
-                            return
-
-    def c10():
-        for u in usyms:
-            ua, ub = a.omega[u], b.omega[u]
-            for j in range(b.n):
-                drow = dot[j]
-                imrow = dot[ub[j]]
-                for x in range(a.n):
-                    l, r = ua[drow[x]], imrow[ua[x]]
-                    if l != r:
-                        yield (u, bid[j], aid[x]), f"lhs={aid[l]} rhs={aid[r]}"
-                        return
-
-    def c11():
-        for u in usyms:
-            ua, ub = a.omega[u], b.omega[u]
-            kind = b.profile.unary_kind(u)
-            for sym in syms:
-                t = sa[sym]
-                for j in range(b.n):
-                    for x in range(a.n):
-                        l = ua[t[j][x]]
-                        if kind == "S":
-                            r1, r2 = t[j][ua[x]], t[ub[j]][x]
-                            if l != r1:
-                                yield (
-                                    (u, sym, bid[j], aid[x]),
-                                    f"acted slot: lhs={aid[l]} rhs={aid[r1]}",
-                                )
-                                return
-                            if l != r2:
-                                yield (
-                                    (u, sym, bid[j], aid[x]),
-                                    f"actor slot: lhs={aid[l]} rhs={aid[r2]}",
-                                )
-                                return
-                        else:
-                            r = t[ub[j]][ua[x]]
-                            if l != r:
-                                yield (u, sym, bid[j], aid[x]), f"lhs={aid[l]} rhs={aid[r]}"
-                                return
-
-    for k, gen in enumerate((c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11), start=1):
-        scan(f"cond-{k}", gen())
-
-    # star values must commute with each other inside the product
-    ids, add, _, star, _ = _product_tables(act)
+    # star values must commute with each other inside the product; rows
+    # are made one at a time, and add rows only at the star values
+    ids = _product_ids(act)
     prov: dict[int, tuple[str, str, str]] = {}
     for sym in syms:
-        t = star[sym]
-        for i in range(len(ids)):
-            for j in range(len(ids)):
-                prov.setdefault(t[i][j], (ids[i], sym, ids[j]))
-    wit12 = None
+        for i, row in enumerate(_product_rows(act, sym, range(len(ids)))):
+            for j, v in enumerate(row):
+                if v not in prov:
+                    prov[v] = (ids[i], sym, ids[j])
     vals = sorted(prov)
-    for u in vals:
-        for v in vals:
-            if add[u][v] != add[v][u]:
-                wit12 = (
-                    prov[u] + prov[v],
-                    f"lhs={ids[add[u][v]]} rhs={ids[add[v][u]]}",
-                )
-                break
-        if wit12:
-            break
-    emit("cond-12", *(wit12 or (None,)))
+    add = dict(zip(vals, _product_rows(act, "add", vals)))
+    found = first_violation(commute, {"V": (vals, ids)}, {"add": add})
+    if found is None:
+        items.append(CheckItem("cond-12", True))
+    else:
+        (u, v), _, lhs, rhs = found
+        detail = f"lhs={ids[lhs]} rhs={ids[rhs]}"
+        items.append(CheckItem("cond-12", False, prov[u] + prov[v], detail))
     return Report(f"action {act.name}", tuple(items))
 
 

@@ -23,8 +23,9 @@ from .morphisms import (
     kernel,
     morphism_report,
 )
-from .report import CheckItem, Report, merge_pre
-from .structures import Morphism, Structure, verify_structure
+from .report import CheckItem, Report, check, merge_pre
+from .structures import Morphism, Structure, carrier, operations, verify_structure
+from .terms import law_filter, law_table
 from .xmod import CrossedModule, XModMorphism, make_xmod
 
 
@@ -68,6 +69,16 @@ def make_cat1(name: str, embed: Morphism, src: Morphism, tgt: Morphism) -> Cat1O
     return Cat1Object(name, embed, src, tgt)
 
 
+# both legs split the embedding; the kernels Ks and Kt annihilate each other
+_CAT1_LAWS = (
+    ("src-split", "q:S", "(src (embed q)) = q", "S", "retraction sends it to {lhs}"),
+    ("tgt-split", "q:S", "(tgt (embed q)) = q", "S", "retraction sends it to {lhs}"),
+    ("kernel-commute", "x:Ks y:Kt", "(R.add (R.add (R.add x y) (R.neg x)) (R.neg y)) = (R.0)", "R",
+     "x+y-x-y = {lhs}"),
+    ("kernel-star[{sym}]", "x:Ks y:Kt", "(R.{sym} x y) = (R.0)", "R", "product is {lhs}"),
+)
+
+
 def verify_cat1(c: Cat1Object) -> Report:
     big, base = c.big, c.base
     items: list[CheckItem] = [
@@ -77,69 +88,40 @@ def verify_cat1(c: Cat1Object) -> Report:
         merge_pre("pre:src", morphism_report(c.src)),
         merge_pre("pre:tgt", morphism_report(c.tgt)),
     ]
-
-    for leg, law in ((c.src, "src-split"), (c.tgt, "tgt-split")):
-        wit = next((q for q in range(base.n) if leg.map[c.embed.map[q]] != q), None)
-        if wit is None:
-            items.append(CheckItem(law, True))
-        else:
-            got = base.elements[leg.map[c.embed.map[wit]]]
-            items.append(
-                CheckItem(law, False, (base.elements[wit],), f"retraction sends it to {got}")
-            )
-
+    laws = law_table(_CAT1_LAWS, big.profile.binary_symbols())
+    src, tgt = c.src.map, c.tgt.map
+    sorts = {
+        "S": carrier(base), "R": carrier(big),
+        "Ks": ([i for i in range(big.n) if src[i] == base.zero], big.elements),
+        "Kt": ([i for i in range(big.n) if tgt[i] == base.zero], big.elements),
+    }
+    ops = {**operations(big, "R."), "src": src, "tgt": tgt, "embed": c.embed.map}
+    items += [check(lw, sorts, ops) for lw in laws[:2]]
     if big.zero is None or base.zero is None:
-        items.append(CheckItem("kernel-commute", False, (), "missing zero element"))
-        for sym in big.profile.binary_symbols():
-            items.append(
-                CheckItem(f"kernel-star[{sym}]", False, (), "missing zero element")
-            )
-        return Report(f"cat1 {c.name}", tuple(items))
-
-    ker_s = [i for i in range(big.n) if c.src.map[i] == base.zero]
-    ker_t = [i for i in range(big.n) if c.tgt.map[i] == base.zero]
-
-    def commute_witness():
-        for x in ker_s:
-            for y in ker_t:
-                v = big.add[big.add[big.add[x][y]][big.neg[x]]][big.neg[y]]
-                if v != big.zero:
-                    return (x, y, v)
-        return None
-
-    wit = commute_witness()
-    if wit is None:
-        items.append(CheckItem("kernel-commute", True))
+        items += [CheckItem(lw.name, False, (), "missing zero element") for lw in laws[2:]]
     else:
-        x, y, v = wit
-        items.append(
-            CheckItem(
-                "kernel-commute",
-                False,
-                (big.elements[x], big.elements[y]),
-                f"x+y-x-y = {big.elements[v]}",
-            )
-        )
-
-    for sym in big.profile.binary_symbols():
-        table = big.star[sym]
-        wit = next(
-            ((x, y) for x in ker_s for y in ker_t if table[x][y] != big.zero), None
-        )
-        if wit is None:
-            items.append(CheckItem(f"kernel-star[{sym}]", True))
-        else:
-            x, y = wit
-            items.append(
-                CheckItem(
-                    f"kernel-star[{sym}]",
-                    False,
-                    (big.elements[x], big.elements[y]),
-                    f"product is {big.elements[table[x][y]]}",
-                )
-            )
-
+        items += [check(lw, sorts, ops) for lw in laws[2:]]
     return Report(f"cat1 {c.name}", tuple(items))
+
+
+_CAT1_SQUARES = (
+    ("square-embed", "q:DS", "(phi (D.embed q)) = (C.embed (psi q))", "CR"),
+    ("square-src", "k:DR", "(psi (D.src k)) = (C.src (phi k))", "CS"),
+    ("square-tgt", "k:DR", "(psi (D.tgt k)) = (C.tgt (phi k))", "CS"),
+)
+
+
+def _square_env(dom: Cat1Object, cod: Cat1Object):
+    sorts = {
+        "DS": carrier(dom.base), "DR": carrier(dom.big),
+        "CS": carrier(cod.base), "CR": carrier(cod.big),
+    }
+    ops = {
+        f"{tag}.{leg}": getattr(c, leg).map
+        for tag, c in (("D", dom), ("C", cod))
+        for leg in ("embed", "src", "tgt")
+    }
+    return sorts, ops
 
 
 def verify_cat1_morphism(m: Cat1Morphism) -> Report:
@@ -153,51 +135,13 @@ def verify_cat1_morphism(m: Cat1Morphism) -> Report:
         and same_structure(m.base_map.cod, m.cod.base)
     ):
         raise StructuralError(f"morphism {m.name}: base endpoints do not match")
-    phi, psi = m.big_map.map, m.base_map.map
     items: list[CheckItem] = [
         merge_pre("pre:big", morphism_report(m.big_map)),
         merge_pre("pre:base", morphism_report(m.base_map)),
     ]
-
-    wit = next(
-        (
-            q
-            for q in range(m.dom.base.n)
-            if phi[m.dom.embed.map[q]] != m.cod.embed.map[psi[q]]
-        ),
-        None,
-    )
-    if wit is None:
-        items.append(CheckItem("square-embed", True))
-    else:
-        lhs = m.cod.big.elements[phi[m.dom.embed.map[wit]]]
-        rhs = m.cod.big.elements[m.cod.embed.map[psi[wit]]]
-        items.append(
-            CheckItem(
-                "square-embed",
-                False,
-                (m.dom.base.elements[wit],),
-                f"lhs={lhs} rhs={rhs}",
-            )
-        )
-
-    for dleg, cleg, law in (
-        (m.dom.src, m.cod.src, "square-src"),
-        (m.dom.tgt, m.cod.tgt, "square-tgt"),
-    ):
-        wit = next(
-            (k for k in range(m.dom.big.n) if psi[dleg.map[k]] != cleg.map[phi[k]]),
-            None,
-        )
-        if wit is None:
-            items.append(CheckItem(law, True))
-        else:
-            lhs = m.cod.base.elements[psi[dleg.map[wit]]]
-            rhs = m.cod.base.elements[cleg.map[phi[wit]]]
-            items.append(
-                CheckItem(law, False, (m.dom.big.elements[wit],), f"lhs={lhs} rhs={rhs}")
-            )
-
+    sorts, ops = _square_env(m.dom, m.cod)
+    ops.update(phi=m.big_map.map, psi=m.base_map.map)
+    items += [check(lw, sorts, ops) for lw in law_table(_CAT1_SQUARES)]
     return Report(f"cat1 morphism {m.name}", tuple(items))
 
 
@@ -253,27 +197,16 @@ def xmod_morphism_to_cat1(
     return Cat1Morphism(f"cat1_{m.name}", dom_c, cod_c, big, base)
 
 
-def _squares_ok(dom: Cat1Object, cod: Cat1Object, phi, psi) -> bool:
-    for q in range(dom.base.n):
-        if phi[dom.embed.map[q]] != cod.embed.map[psi[q]]:
-            return False
-    for k in range(dom.big.n):
-        if psi[dom.src.map[k]] != cod.src.map[phi[k]]:
-            return False
-        if psi[dom.tgt.map[k]] != cod.tgt.map[phi[k]]:
-            return False
-    return True
-
-
 def enumerate_cat1_morphisms(
     dom: Cat1Object, cod: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[Cat1Morphism]:
     bigs = enumerate_morphisms(dom.big, cod.big, max_size)
     bases = enumerate_morphisms(dom.base, cod.base, max_size)
+    holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "phi", "psi")
     out: list[Cat1Morphism] = []
     for phi in bigs:
         for psi in bases:
-            if _squares_ok(dom, cod, phi.map, psi.map):
+            if holds(phi.map, psi.map):
                 out.append(
                     Cat1Morphism(
                         f"c1m{len(out)}_{dom.name}_{cod.name}", dom, cod, phi, psi

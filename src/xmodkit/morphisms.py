@@ -4,8 +4,9 @@ Enumeration never scans all |B|^|A| maps. The additive reduct of a valid
 structure is a finite group, so a morphism is determined by images of a
 greedy generating set; candidates are the |B|^g image tuples (pruned by
 element-order divisibility), each extended along recorded sum
-derivations and then checked against every table. A brute-force scan is
-kept in the tests as the oracle for this routine.
+derivations and then checked by the law table that ``morphism_report``
+runs, bound once per search. A brute-force scan is kept in the tests as
+the oracle for this routine.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import itertools
 from typing import Optional
 
 from .errors import SizeGuardError, StructuralError
-from .report import CheckItem, Report
-from .structures import Morphism, Structure, Subobject, Table1, subobject
+from .report import CheckItem, Report, check
+from .structures import Morphism, Structure, Subobject, Table1, carrier, operations, subobject
+from .terms import law_filter, law_table
 
 DEFAULT_MAX_SIZE = 12
 UNIVERSAL_MAX_SIZE = 8
@@ -44,75 +46,33 @@ def _validate_endpoints(f: Morphism) -> None:
             raise StructuralError(f"morphism {f.name}: image index {v} out of range")
 
 
+# f preserves zero and every table, from A to B; the search filters share it
+_HOM_LAWS = (
+    ("hom-zero", "x:A0", "(f x) = (B.0)", "B", "maps to {lhs}"),
+    ("hom-add", "x y:A", "(f (A.add x y)) = (B.add (f x) (f y))", "B",
+     "f(x+y)={lhs} f(x)+f(y)={rhs}"),
+    ("hom-star[{sym}]", "x y:A", "(f (A.{sym} x y)) = (B.{sym} (f x) (f y))", "B",
+     "f(x{sym}y)={lhs} f(x){sym}f(y)={rhs}"),
+    ("hom-unary[{un}]", "x:A", "(f (A.{un} x)) = (B.{un} (f x))", "B",
+     "f({un}(x))={lhs} {un}(f(x))={rhs}"),
+)
+
+
+def _hom_env(a: Structure, b: Structure):
+    laws = law_table(_HOM_LAWS, a.profile.binary_symbols(), a.profile.unary_symbols())
+    sorts = {"A": carrier(a), "A0": ((a.zero,), a.elements), "B": carrier(b)}
+    return laws, sorts, {**operations(a, "A."), **operations(b, "B.")}
+
+
 def morphism_report(f: Morphism) -> Report:
     _validate_endpoints(f)
-    a, b, m = f.dom, f.cod, f.map
-    items: list[CheckItem] = []
-
+    a, b = f.dom, f.cod
     if a.zero is None or b.zero is None:
-        items.append(CheckItem("hom-zero", False, (), "an endpoint has no additive zero"))
-        return Report(f"morphism {f.name}", tuple(items))
-    if m[a.zero] == b.zero:
-        items.append(CheckItem("hom-zero", True))
-    else:
-        items.append(CheckItem("hom-zero", False, (a.elements[a.zero],), f"maps to {b.elements[m[a.zero]]}"))
-
-    def table_item(law: str, ok: bool, witness=(), detail="") -> None:
-        items.append(CheckItem(law, ok, witness, detail))
-
-    wit = None
-    for i in range(a.n):
-        for j in range(a.n):
-            if m[a.add[i][j]] != b.add[m[i]][m[j]]:
-                wit = (i, j)
-                break
-        if wit:
-            break
-    if wit is None:
-        table_item("hom-add", True)
-    else:
-        i, j = wit
-        table_item(
-            "hom-add",
-            False,
-            (a.elements[i], a.elements[j]),
-            f"f(x+y)={b.elements[m[a.add[i][j]]]} f(x)+f(y)={b.elements[b.add[m[i]][m[j]]]}",
-        )
-
-    for sym in a.profile.binary_symbols():
-        wit = None
-        ta, tb = a.star[sym], b.star[sym]
-        for i in range(a.n):
-            for j in range(a.n):
-                if m[ta[i][j]] != tb[m[i]][m[j]]:
-                    wit = (i, j)
-                    break
-            if wit:
-                break
-        if wit is None:
-            table_item(f"hom-star[{sym}]", True)
-        else:
-            i, j = wit
-            table_item(
-                f"hom-star[{sym}]",
-                False,
-                (a.elements[i], a.elements[j]),
-                f"f(x{sym}y)={b.elements[m[ta[i][j]]]} f(x){sym}f(y)={b.elements[tb[m[i]][m[j]]]}",
-            )
-
-    for sym in a.profile.unary_symbols():
-        ta, tb = a.omega[sym], b.omega[sym]
-        wit1 = next((i for i in range(a.n) if m[ta[i]] != tb[m[i]]), None)
-        if wit1 is None:
-            table_item(f"hom-unary[{sym}]", True)
-        else:
-            table_item(
-                f"hom-unary[{sym}]",
-                False,
-                (a.elements[wit1],),
-                f"f({sym}(x))={b.elements[m[ta[wit1]]]} {sym}(f(x))={b.elements[tb[m[wit1]]]}",
-            )
-    return Report(f"morphism {f.name}", tuple(items))
+        item = CheckItem("hom-zero", False, (), "an endpoint has no additive zero")
+        return Report(f"morphism {f.name}", (item,))
+    laws, sorts, ops = _hom_env(a, b)
+    ops["f"] = f.map
+    return Report(f"morphism {f.name}", tuple(check(lw, sorts, ops) for lw in laws))
 
 
 def is_morphism(f: Morphism) -> bool:
@@ -139,49 +99,23 @@ def kernel(f: Morphism) -> Subobject:
     return subobject(f.dom, subset, name=f"ker_{f.name}")
 
 
+# in retracts P onto the subset: an escaping value goes to zero, which is inside
+_IDEAL_LAWS = (
+    ("ideal-conj", "g:P a:I",
+     "(in (P.add (P.add g a) (P.neg g))) = (P.add (P.add g a) (P.neg g))", "P",
+     "g+a-g={rhs} escapes"),
+    ("ideal-star[{sym}]", "g:P a:I", "(in (P.{sym} g a)) = (P.{sym} g a)", "P",
+     "g{sym}a={rhs} escapes"),
+)
+
+
 def ideal_report(sub: Subobject) -> Report:
     p = sub.parent
     inside = set(sub.elements)
-    items: list[CheckItem] = []
-    wit = next(
-        (
-            (g, a)
-            for g in range(p.n)
-            for a in sub.elements
-            if p.conj(g, a) not in inside
-        ),
-        None,
-    )
-    if wit is None:
-        items.append(CheckItem("ideal-conj", True))
-    else:
-        g, a = wit
-        items.append(
-            CheckItem(
-                "ideal-conj",
-                False,
-                (p.elements[g], p.elements[a]),
-                f"g+a-g={p.elements[p.conj(g, a)]} escapes",
-            )
-        )
-    for sym in p.profile.binary_symbols():
-        t = p.star[sym]
-        wit = next(
-            ((g, a) for g in range(p.n) for a in sub.elements if t[g][a] not in inside), None
-        )
-        if wit is None:
-            items.append(CheckItem(f"ideal-star[{sym}]", True))
-        else:
-            g, a = wit
-            items.append(
-                CheckItem(
-                    f"ideal-star[{sym}]",
-                    False,
-                    (p.elements[g], p.elements[a]),
-                    f"g{sym}a={p.elements[t[g][a]]} escapes",
-                )
-            )
-    return Report(f"ideal {sub.induced.name}", tuple(items))
+    sorts = {"P": carrier(p), "I": (sub.elements, p.elements)}
+    ops = {**operations(p, "P."), "in": tuple(v if v in inside else p.zero for v in range(p.n))}
+    laws = law_table(_IDEAL_LAWS, p.profile.binary_symbols())
+    return Report(f"ideal {sub.induced.name}", tuple(check(lw, sorts, ops) for lw in laws))
 
 
 def is_ideal(sub: Subobject) -> bool:
@@ -222,40 +156,22 @@ def _generating_data(s: Structure):
     return gens, order
 
 
-def _extend(a: Structure, b: Structure, order, gens, images) -> Table1:
-    img = [0] * a.n
+def _extend(n: int, b_add, b_zero: int, order, images) -> Table1:
+    img = [0] * n
     for e, how in order:
         if how is None:
-            img[e] = b.zero
+            img[e] = b_zero
         elif how[0] == "gen":
             img[e] = images[how[1]]
         else:
             _, parent, k = how
-            img[e] = b.add[img[parent]][images[k]]
+            img[e] = b_add[img[parent]][images[k]]
     return tuple(img)
 
 
-def _preserves_all(a: Structure, b: Structure, m: Table1) -> bool:
-    badd = b.add
-    for i in range(a.n):
-        arow = a.add[i]
-        mi = m[i]
-        for j in range(a.n):
-            if m[arow[j]] != badd[mi][m[j]]:
-                return False
-    for sym in a.profile.binary_symbols():
-        ta, tb = a.star[sym], b.star[sym]
-        for i in range(a.n):
-            row = ta[i]
-            mi = m[i]
-            for j in range(a.n):
-                if m[row[j]] != tb[mi][m[j]]:
-                    return False
-    for sym in a.profile.unary_symbols():
-        ta, tb = a.omega[sym], b.omega[sym]
-        if any(m[ta[i]] != tb[m[i]] for i in range(a.n)):
-            return False
-    return True
+def _preserving(a: Structure, b: Structure):
+    """The morphism laws from a to b, bound once: a verdict per image table."""
+    return law_filter(*_hom_env(a, b), "f")
 
 
 def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE) -> list[Morphism]:
@@ -275,10 +191,12 @@ def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_
     for g in gens:
         o = element_order(a, g)
         allowed.append([y for y in range(b.n) if o % element_order(b, y) == 0])
+    preserves = _preserving(a, b)
+    n, b_add, b_zero = a.n, b.add, b.zero
     found = []
     for images in itertools.product(*allowed):
-        m = _extend(a, b, order, gens, images)
-        if _preserves_all(a, b, m):
+        m = _extend(n, b_add, b_zero, order, images)
+        if preserves(m):
             found.append(m)
     found.sort()
     return [Morphism(f"hom{k}_{a.name}_{b.name}", a, b, m) for k, m in enumerate(found)]
@@ -287,7 +205,7 @@ def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_
 def find_isomorphism(
     a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Morphism]:
-    """First bijective morphism with morphism inverse, or None."""
+    """First bijective morphism, or None."""
     if a.profile.name != b.profile.name:
         return None
     if a.n != b.n:
@@ -305,15 +223,12 @@ def find_isomorphism(
     for g in gens:
         o = element_order(a, g)
         allowed.append([y for y in range(b.n) if element_order(b, y) == o])
+    # the inverse of a bijective morphism of finite structures preserves
+    # every table too, so it needs no check of its own
+    preserves = _preserving(a, b)
+    n, b_add, b_zero = a.n, b.add, b.zero
     for images in itertools.product(*allowed):
-        m = _extend(a, b, order, gens, images)
-        if len(set(m)) != a.n:
-            continue
-        if not _preserves_all(a, b, m):
-            continue
-        inv = [0] * a.n
-        for i, v in enumerate(m):
-            inv[v] = i
-        if _preserves_all(b, a, tuple(inv)):
+        m = _extend(n, b_add, b_zero, order, images)
+        if len(set(m)) == n and preserves(m):
             return Morphism(f"iso_{a.name}_{b.name}", a, b, m)
     return None

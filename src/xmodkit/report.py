@@ -10,6 +10,9 @@ same report twice is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
+
+from .terms import Law, Sorts, first_violation
 
 
 @dataclass(frozen=True)
@@ -64,3 +67,15 @@ def merge_pre(name: str, sub: Report) -> CheckItem:
         return passed(name)
     first = sub.failures()[0]
     return failed(name, first.witness, f"{first.law}" + (f": {first.detail}" if first.detail else ""))
+
+
+def check(lw: Law, sorts: Sorts, ops: Mapping[str, object]) -> CheckItem:
+    """The report item of one law: PASS, or FAIL at its first witness."""
+    found = first_violation(lw, sorts, ops)
+    if found is None:
+        return CheckItem(lw.name, True)
+    values, k, lhs, rhs = found
+    e = lw.equations[k]
+    ids = sorts[e.sort][1]
+    witness = tuple(sorts[s][1][v] for (_, s), v in zip(lw.variables, values))
+    return CheckItem(lw.name, False, witness, e.detail.format(lhs=ids[lhs], rhs=ids[rhs]))

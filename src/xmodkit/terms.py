@@ -1,4 +1,4 @@
-"""Prefix term language for equational laws.
+"""Prefix term language for equational laws, and the one law engine.
 
 Grammar (whitespace separated, fully parenthesised):
 
@@ -7,12 +7,22 @@ Grammar (whitespace separated, fully parenthesised):
 ``0`` is the additive zero constant. Anything else outside parens is a
 variable. Operation arity is not fixed here; it is validated when a
 profile accepts an identity.
+
+Every check in the package is a :class:`Law`: equations over sorted
+variables, run against op tables bound at call time. Each law shape is
+compiled once into a nested-loop scanner (:func:`first_violation`) that
+returns the lexicographically first violating assignment;
+:func:`report.check` renders it as a report item. ``eval_term`` is the
+independent interpreter the tests and ``evaluate_law`` use to
+re-evaluate witnesses; no verifier calls it.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 from .errors import ParseError, StructuralError
 
@@ -162,3 +172,226 @@ def eval_term(t: Term, s: "Structure", env: Mapping[str, int]) -> int:
     if op in s.omega:
         return s.omega[op][vals[0]]
     raise StructuralError(f"unknown operation {op!r} for profile {s.profile.name}")
+
+
+# ---------------------------------------------------------------------------
+# the law engine
+
+
+@dataclass(frozen=True)
+class Equation:
+    """lhs = rhs; a FAIL detail names both sides by the ids of ``sort``.
+
+    When ``when`` is given, the equation is only checked where that term
+    is true.
+    """
+
+    lhs: Term
+    rhs: Term
+    sort: str
+    detail: str = "lhs={lhs} rhs={rhs}"
+    when: Term | None = None
+
+
+@dataclass(frozen=True)
+class Law:
+    """Equations quantified over sorted variables, given in witness order.
+
+    A sort is bound to (domain, ids): the index sequence its variables
+    range over (a carrier, a subset such as a kernel, or just the zero)
+    and the ids that name indices in reports. An op is bound to a
+    constant, a row (one argument) or a tuple of rows (two arguments).
+    ``op[v]`` picks table number v out of a bound tuple of tables, so a
+    variable over a sequence of symbols selects the table of its symbol.
+    """
+
+    name: str
+    variables: tuple[tuple[str, str], ...]
+    equations: tuple[Equation, ...]
+
+
+Sorts = Mapping[str, tuple[Sequence[int], Sequence[str]]]
+
+
+_ROW_DEFAULTS = ("lhs={lhs} rhs={rhs}", "")  # detail, when
+
+
+@functools.lru_cache(maxsize=None)
+def law_table(rows, symbols: Sequence[str] = (), unaries: Sequence[str] = ()) -> tuple[Law, ...]:
+    """Laws from rows ``(name, variables, "lhs = rhs", sort[, detail[, when]])``.
+
+    Variables are written ``"x y:A j:B"`` (x and y of sort A). A row that
+    mentions {sym} or {un} stands for one row per star or unary symbol.
+    Consecutive rows with the same name are the equations of one law.
+    """
+    laws: list[Law] = []
+    for row in rows:
+        text = " ".join(row)
+        row = row + _ROW_DEFAULTS[len(row) - 4:]
+        for s in symbols if "{sym}" in text else unaries if "{un}" in text else ("",):
+            fields = [f.replace("{sym}", s).replace("{un}", s) for f in row]
+            name, variables, equation, sort, detail, when = fields
+            lhs, rhs = equation.split(" = ")
+            guard = parse_term(when) if when else None
+            e = Equation(parse_term(lhs), parse_term(rhs), sort, detail, guard)
+            if laws and laws[-1].name == name:
+                laws[-1] = Law(name, laws[-1].variables, laws[-1].equations + (e,))
+                continue
+            pending, typed = [], []
+            for token in variables.split():
+                var, _, vsort = token.partition(":")
+                pending.append(var)
+                if vsort:
+                    typed += [(v, vsort) for v in pending]
+                    pending = []
+            laws.append(Law(name, tuple(typed), (e,)))
+    return tuple(laws)
+
+
+_SCANNERS: dict = {}  # law shape -> generated scanner
+_COMPILED: dict = {}  # law -> (scanner, sort of each variable, op names)
+
+
+def _compiled(lw: Law):
+    hit = _COMPILED.get(lw)
+    if hit is not None:
+        return hit
+    index = {v: i for i, (v, _) in enumerate(lw.variables)}
+    ops: list[str] = []
+
+    def shape(t):
+        if isinstance(t, Var):
+            return index[t.name]
+        op, args = ("0", ()) if isinstance(t, Zero) else (t.op, t.args)
+        pick = None
+        if op.endswith("]") and "[" in op:
+            op, var = op[:-1].split("[", 1)
+            pick = index[var]
+        if op not in ops:
+            ops.append(op)
+        return ops.index(op), pick, tuple(map(shape, args))
+
+    eqs = tuple(
+        (shape(e.lhs), shape(e.rhs), None if e.when is None else shape(e.when))
+        for e in lw.equations
+    )
+    key = (len(index), len(ops), eqs)
+    scan = _SCANNERS.get(key)
+    if scan is None:
+        scan = _SCANNERS[key] = _generate(*key)
+    hit = _COMPILED[lw] = (scan, tuple(s for _, s in lw.variables), tuple(ops))
+    return hit
+
+
+def _generate(nvars: int, nops: int, eqs) -> Callable:
+    """Compile one law shape into ``scan(d0.., t0..)``.
+
+    Loop i runs variable i over domain d_i; ops are the tables t_k. Every
+    subterm, and every row of a two-argument table, is computed in the
+    loop of its innermost variable. Only positional names reach exec.
+    """
+    level: dict = {}  # index node -> loop it belongs to (-1: before the loops)
+    consumers: dict = defaultdict(list)  # node -> loops of the nodes that read it
+    order: list = []
+
+    def lv(node) -> int:
+        return node[1] if node[0] == "v" else level.get(node, -1)
+
+    def index(base, at):
+        node = ("i", base, at)
+        if node not in level:
+            level[node] = max(lv(base), lv(at))
+            consumers[base].append(level[node])
+            consumers[at].append(level[node])
+            order.append(node)
+        return node
+
+    def build(s):
+        if isinstance(s, int):
+            return ("v", s)
+        k, pick, args = s
+        node = ("t", k)
+        if pick is not None:
+            node = index(node, ("v", pick))
+        for a in args:
+            node = index(node, build(a))
+        return node
+
+    inner = nvars - 1
+    checks = []
+    for parts in eqs:
+        nodes = [None if p is None else build(p) for p in parts]
+        for n in nodes:
+            if n is not None:
+                consumers[n].append(inner)
+        checks.append(nodes)
+
+    names: dict = {}
+
+    def expr(node) -> str:
+        if node in names:
+            return names[node]
+        if node[0] == "v":
+            return f"v{node[1]}"
+        if node[0] == "t":
+            return f"t{node[1]}"
+        return f"{expr(node[1])}[{expr(node[2])}]"
+
+    body: dict = defaultdict(list)
+    for node in order:
+        uses = consumers[node]
+        if len(uses) > 1 or max(uses) > level[node]:
+            body[level[node]].append(f"n{len(names)} = {expr(node)}")
+            names[node] = f"n{len(names)}"
+
+    params = [f"d{i}" for i in range(nvars)] + [f"t{k}" for k in range(nops)]
+    lines = [f"def scan({', '.join(params)}):"] + ["    " + a for a in body[-1]]
+    for i in range(nvars):
+        lines.append("    " * (i + 1) + f"for v{i} in d{i}:")
+        lines += ["    " * (i + 2) + a for a in body[i]]
+    pad = "    " * (nvars + 1)
+    witness = "".join(f"v{i}, " for i in range(nvars))
+    for k, (lhs, rhs, when) in enumerate(checks):
+        cond = f"(l := {expr(lhs)}) != (r := {expr(rhs)})"
+        if when is not None:
+            cond = f"{expr(when)} and {cond}"
+        lines += [f"{pad}if {cond}:", f"{pad}    return ({witness}), {k}, l, r"]
+    lines.append("    return None")
+    scope: dict = {}
+    exec(compile("\n".join(lines), "<law scanner>", "exec"), scope)
+    return scope["scan"]
+
+
+def first_violation(lw: Law, sorts: Sorts, ops: Mapping[str, object]):
+    """The lexicographically first assignment that breaks an equation.
+
+    Returns (variable values, equation index, lhs, rhs), or None when
+    the law holds everywhere.
+    """
+    scan, var_sorts, op_names = _compiled(lw)
+    return scan(*[sorts[s][0] for s in var_sorts], *[ops[o] for o in op_names])
+
+
+def law_filter(
+    laws: Sequence[Law], sorts: Sorts, ops: Mapping[str, object], *free: str
+) -> Callable[..., bool]:
+    """The verdict of laws bound once; call it with one table per free op.
+
+    Used by the searches: it stops at the first violation.
+    """
+    bound = []
+    for lw in laws:
+        scan, var_sorts, op_names = _compiled(lw)
+        args = [sorts[s][0] for s in var_sorts] + [ops.get(o) for o in op_names]
+        slots = [(len(var_sorts) + i, free.index(o)) for i, o in enumerate(op_names) if o in free]
+        bound.append((scan, args, slots))
+
+    def holds(*tables) -> bool:
+        for scan, args, slots in bound:
+            for i, k in slots:
+                args[i] = tables[k]
+            if scan(*args) is not None:
+                return False
+        return True
+
+    return holds

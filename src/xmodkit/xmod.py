@@ -29,8 +29,17 @@ from .morphisms import (
     identity_morphism,
     morphism_report,
 )
-from .report import CheckItem, Report, merge_pre
-from .structures import Morphism, Structure, _Restriction, subobject, verify_structure
+from .report import CheckItem, Report, check, merge_pre
+from .structures import (
+    Morphism,
+    Structure,
+    _Restriction,
+    carrier,
+    operations,
+    subobject,
+    verify_structure,
+)
+from .terms import first_violation, law_filter, law_table
 
 
 @dataclass(frozen=True)
@@ -68,107 +77,55 @@ def make_xmod(name: str, boundary: Morphism, action: DerivedAction) -> CrossedMo
     return CrossedModule(name, boundary, action)
 
 
+def _action_ops(act: DerivedAction, tag: str) -> dict:
+    """The dot table of an action as op tag, and its star tables as tag.<symbol>."""
+    return {tag: act.dot, **{f"{tag}.{s}": t for s, t in act.star_act.items()}}
+
+
+_XMOD_LAWS = (
+    ("xm1-dot", "b:C0 x:C1", "(bnd (X b x)) = (C0.add (C0.add b (bnd x)) (C0.neg b))", "C0"),
+    ("xm1-star[{sym}]", "b:C0 x:C1", "(bnd (X.{sym} b x)) = (C0.{sym} b (bnd x))", "C0"),
+    ("xm2-dot", "x y:C1", "(X (bnd x) y) = (C1.add (C1.add x y) (C1.neg x))", "C1"),
+    ("xm2-star[{sym}]", "x y:C1", "(X.{sym} (bnd x) y) = (C1.{sym} x y)", "C1"),
+)
+
+
 def verify_xmod(xm: CrossedModule) -> Report:
-    c1, c0, bnd = xm.c1, xm.c0, xm.boundary.map
-    dot, sa = xm.action.dot, xm.action.star_act
-    syms = c0.profile.binary_symbols()
+    c1, c0 = xm.c1, xm.c0
     items: list[CheckItem] = [
         merge_pre("pre:c1", verify_structure(c1)),
         merge_pre("pre:c0", verify_structure(c0)),
         merge_pre("pre:boundary", morphism_report(xm.boundary)),
         merge_pre("pre:action", check_derived_action(xm.action)),
     ]
-
-    wit = next(
-        (
-            (b, x)
-            for b in range(c0.n)
-            for x in range(c1.n)
-            if bnd[dot[b][x]] != c0.conj(b, bnd[x])
-        ),
-        None,
-    )
-    if wit is None:
-        items.append(CheckItem("xm1-dot", True))
-    else:
-        b, x = wit
-        items.append(
-            CheckItem(
-                "xm1-dot",
-                False,
-                (c0.elements[b], c1.elements[x]),
-                f"lhs={c0.elements[bnd[dot[b][x]]]} rhs={c0.elements[c0.conj(b, bnd[x])]}",
-            )
-        )
-    for sym in syms:
-        t = sa[sym]
-        wit = next(
-            (
-                (b, x)
-                for b in range(c0.n)
-                for x in range(c1.n)
-                if bnd[t[b][x]] != c0.star[sym][b][bnd[x]]
-            ),
-            None,
-        )
-        if wit is None:
-            items.append(CheckItem(f"xm1-star[{sym}]", True))
-        else:
-            b, x = wit
-            items.append(
-                CheckItem(
-                    f"xm1-star[{sym}]",
-                    False,
-                    (c0.elements[b], c1.elements[x]),
-                    f"lhs={c0.elements[bnd[t[b][x]]]} rhs={c0.elements[c0.star[sym][b][bnd[x]]]}",
-                )
-            )
-
-    wit = next(
-        (
-            (x, y)
-            for x in range(c1.n)
-            for y in range(c1.n)
-            if dot[bnd[x]][y] != c1.conj(x, y)
-        ),
-        None,
-    )
-    if wit is None:
-        items.append(CheckItem("xm2-dot", True))
-    else:
-        x, y = wit
-        items.append(
-            CheckItem(
-                "xm2-dot",
-                False,
-                (c1.elements[x], c1.elements[y]),
-                f"lhs={c1.elements[dot[bnd[x]][y]]} rhs={c1.elements[c1.conj(x, y)]}",
-            )
-        )
-    for sym in syms:
-        t = sa[sym]
-        wit = next(
-            (
-                (x, y)
-                for x in range(c1.n)
-                for y in range(c1.n)
-                if t[bnd[x]][y] != c1.star[sym][x][y]
-            ),
-            None,
-        )
-        if wit is None:
-            items.append(CheckItem(f"xm2-star[{sym}]", True))
-        else:
-            x, y = wit
-            items.append(
-                CheckItem(
-                    f"xm2-star[{sym}]",
-                    False,
-                    (c1.elements[x], c1.elements[y]),
-                    f"lhs={c1.elements[t[bnd[x]][y]]} rhs={c1.elements[c1.star[sym][x][y]]}",
-                )
-            )
+    sorts = {"C1": carrier(c1), "C0": carrier(c0)}
+    ops = {
+        **operations(c1, "C1."), **operations(c0, "C0."), **_action_ops(xm.action, "X"),
+        "bnd": xm.boundary.map,
+    }
+    items += [check(lw, sorts, ops) for lw in law_table(_XMOD_LAWS, c0.profile.binary_symbols())]
     return Report(f"crossed module {xm.name}", tuple(items))
+
+
+# top and bot commute with the boundaries and respect both actions
+_SQUARE_LAWS = (
+    ("square", "x:D1", "(cbnd (top x)) = (bot (dbnd x))", "C0"),
+    ("equivariant-dot", "b:D0 x:D1", "(top (D b x)) = (C (bot b) (top x))", "C1"),
+    ("equivariant-star[{sym}]", "b:D0 x:D1",
+     "(top (D.{sym} b x)) = (C.{sym} (bot b) (top x))", "C1"),
+)
+
+
+def _square_env(dom: CrossedModule, cod: CrossedModule):
+    sorts = {
+        "D1": carrier(dom.c1), "D0": carrier(dom.c0),
+        "C1": carrier(cod.c1), "C0": carrier(cod.c0),
+    }
+    ops = {
+        **_action_ops(dom.action, "D"), **_action_ops(cod.action, "C"),
+        "dbnd": dom.boundary.map, "cbnd": cod.boundary.map,
+    }
+    return law_table(_SQUARE_LAWS, dom.c0.profile.binary_symbols()), sorts, ops
 
 
 def verify_xmod_morphism(m: XModMorphism) -> Report:
@@ -177,72 +134,13 @@ def verify_xmod_morphism(m: XModMorphism) -> Report:
             raise StructuralError(f"morphism {m.name}: top endpoints do not match")
     if not (same_structure(m.bottom.dom, m.dom.c0) and same_structure(m.bottom.cod, m.cod.c0)):
         raise StructuralError(f"morphism {m.name}: bottom endpoints do not match")
-    top, bot = m.top.map, m.bottom.map
-    dc1, dc0 = m.dom.c1, m.dom.c0
     items: list[CheckItem] = [
         merge_pre("pre:top", morphism_report(m.top)),
         merge_pre("pre:bottom", morphism_report(m.bottom)),
     ]
-
-    dbnd, cbnd = m.dom.boundary.map, m.cod.boundary.map
-    wit = next((x for x in range(dc1.n) if cbnd[top[x]] != bot[dbnd[x]]), None)
-    if wit is None:
-        items.append(CheckItem("square", True))
-    else:
-        items.append(
-            CheckItem(
-                "square",
-                False,
-                (dc1.elements[wit],),
-                f"lhs={m.cod.c0.elements[cbnd[top[wit]]]} rhs={m.cod.c0.elements[bot[dbnd[wit]]]}",
-            )
-        )
-
-    ddot, cdot = m.dom.action.dot, m.cod.action.dot
-    wit = next(
-        (
-            (b, x)
-            for b in range(dc0.n)
-            for x in range(dc1.n)
-            if top[ddot[b][x]] != cdot[bot[b]][top[x]]
-        ),
-        None,
-    )
-    if wit is None:
-        items.append(CheckItem("equivariant-dot", True))
-    else:
-        b, x = wit
-        items.append(
-            CheckItem(
-                "equivariant-dot",
-                False,
-                (dc0.elements[b], dc1.elements[x]),
-                f"lhs={m.cod.c1.elements[top[ddot[b][x]]]} rhs={m.cod.c1.elements[cdot[bot[b]][top[x]]]}",
-            )
-        )
-    for sym in dc0.profile.binary_symbols():
-        dt, ct = m.dom.action.star_act[sym], m.cod.action.star_act[sym]
-        wit = next(
-            (
-                (b, x)
-                for b in range(dc0.n)
-                for x in range(dc1.n)
-                if top[dt[b][x]] != ct[bot[b]][top[x]]
-            ),
-            None,
-        )
-        if wit is None:
-            items.append(CheckItem(f"equivariant-star[{sym}]", True))
-        else:
-            b, x = wit
-            items.append(
-                CheckItem(
-                    f"equivariant-star[{sym}]",
-                    False,
-                    (dc0.elements[b], dc1.elements[x]),
-                    f"lhs={m.cod.c1.elements[top[dt[b][x]]]} rhs={m.cod.c1.elements[ct[bot[b]][top[x]]]}",
-                )
-            )
+    laws, sorts, ops = _square_env(m.dom, m.cod)
+    ops.update(top=m.top.map, bot=m.bottom.map)
+    items += [check(lw, sorts, ops) for lw in laws]
     return Report(f"crossed module morphism {m.name}", tuple(items))
 
 
@@ -329,6 +227,13 @@ def induced_xmod(f: XModMorphism, name: str | None = None) -> CrossedModule:
     return make_xmod(name or f"ind_{f.name}", bnd, act)
 
 
+# the base action through the lower boundary is the middle action
+_COMPOSE_LAW = (
+    ("compose", "b:M x:Q", "(base (lbnd b) x) = (mid b x)", "Q"),
+    ("compose", "b:M x:Q", "(base.{sym} (lbnd b) x) = (mid.{sym} b x)", "Q"),
+)
+
+
 def compose_xmod(
     upper: CrossedModule,
     lower: CrossedModule,
@@ -350,21 +255,19 @@ def compose_xmod(
         raise StructuralError("compose_xmod: base action endpoints do not match")
     mid, q = upper.c0, upper.c1
     lbnd = lower.boundary.map
-    for b in range(mid.n):
-        for x in range(q.n):
-            if base_action.dot[lbnd[b]][x] != upper.action.dot[b][x]:
-                raise IncompatibleActionError(
-                    f"composite {upper.name};{lower.name}: base action disagrees with "
-                    f"the middle action at dot({mid.elements[b]}, {q.elements[x]})",
-                    witness=(mid.elements[b], q.elements[x]),
-                )
-            for sym in mid.profile.binary_symbols():
-                if base_action.star_act[sym][lbnd[b]][x] != upper.action.star_act[sym][b][x]:
-                    raise IncompatibleActionError(
-                        f"composite {upper.name};{lower.name}: base action disagrees "
-                        f"with the middle action at {sym}({mid.elements[b]}, {q.elements[x]})",
-                        witness=(sym, mid.elements[b], q.elements[x]),
-                    )
+    syms = mid.profile.binary_symbols()
+    sorts = {"M": carrier(mid), "Q": carrier(q)}
+    ops = {**_action_ops(base_action, "base"), **_action_ops(upper.action, "mid"), "lbnd": lbnd}
+    found = first_violation(law_table(_COMPOSE_LAW, syms)[0], sorts, ops)
+    if found is not None:
+        (b, x), k, _, _ = found
+        at = ("dot", *syms)[k]
+        ids = (mid.elements[b], q.elements[x])
+        raise IncompatibleActionError(
+            f"composite {upper.name};{lower.name}: base action disagrees with "
+            f"the middle action at {at}({ids[0]}, {ids[1]})",
+            witness=ids if k == 0 else (at, *ids),
+        )
     name = name or f"{upper.name}_then_{lower.name}"
     bnd = Morphism(f"bnd_{name}", q, lower.c0, tuple(lbnd[v] for v in upper.boundary.map))
     return make_xmod(name, bnd, base_action)
@@ -449,44 +352,23 @@ def xmod_equalizer(
 def _square_pairs(
     dom: CrossedModule, cod: CrossedModule, tops, bottoms, prefix: str
 ) -> list[XModMorphism]:
-    """Candidate (top, bottom) pairs that commute with the boundaries and
-    respect the dot and star actions; names are prefix, count, endpoints.
+    """Candidate (top, bottom) pairs that pass the morphism squares of
+    verify_xmod_morphism; names are prefix, count, endpoints.
     """
-    dbnd, cbnd = dom.boundary.map, cod.boundary.map
+    holds = law_filter(*_square_env(dom, cod), "top", "bot")
     out = []
     for bot_m in bottoms:
-        bot = bot_m.map
         for top_m in tops:
-            top = top_m.map
-            if any(cbnd[top[x]] != bot[dbnd[x]] for x in range(dom.c1.n)):
-                continue
-            if any(
-                top[dom.action.dot[b][x]] != cod.action.dot[bot[b]][top[x]]
-                for b in range(dom.c0.n)
-                for x in range(dom.c1.n)
-            ):
-                continue
-            bad = False
-            for sym in dom.c0.profile.binary_symbols():
-                dt, ct = dom.action.star_act[sym], cod.action.star_act[sym]
-                if any(
-                    top[dt[b][x]] != ct[bot[b]][top[x]]
-                    for b in range(dom.c0.n)
-                    for x in range(dom.c1.n)
-                ):
-                    bad = True
-                    break
-            if bad:
-                continue
-            out.append(
-                XModMorphism(
-                    f"{prefix}{len(out)}_{dom.name}_{cod.name}",
-                    dom,
-                    cod,
-                    Morphism(top_m.name, dom.c1, cod.c1, top),
-                    Morphism(bot_m.name, dom.c0, cod.c0, bot),
+            if holds(top_m.map, bot_m.map):
+                out.append(
+                    XModMorphism(
+                        f"{prefix}{len(out)}_{dom.name}_{cod.name}",
+                        dom,
+                        cod,
+                        Morphism(top_m.name, dom.c1, cod.c1, top_m.map),
+                        Morphism(bot_m.name, dom.c0, cod.c0, bot_m.map),
+                    )
                 )
-            )
     return out
 
 
@@ -519,23 +401,10 @@ def find_xmod_isomorphism(
         return None
     if a.c1.n != b.c1.n or a.c0.n != b.c0.n:
         return None
+    # a bijective morphism inverts to a morphism and its squares flip, so
+    # bijectivity at both levels is enough
     for cand in enumerate_xmod_morphisms(a, b, max_size):
-        if len(set(cand.top.map)) != a.c1.n or len(set(cand.bottom.map)) != a.c0.n:
-            continue
-        inv_top = [0] * a.c1.n
-        for i, v in enumerate(cand.top.map):
-            inv_top[v] = i
-        inv_bot = [0] * a.c0.n
-        for i, v in enumerate(cand.bottom.map):
-            inv_bot[v] = i
-        inverse = XModMorphism(
-            f"inv_{cand.name}",
-            b,
-            a,
-            Morphism("t", b.c1, a.c1, tuple(inv_top)),
-            Morphism("b", b.c0, a.c0, tuple(inv_bot)),
-        )
-        if verify_xmod_morphism(inverse).ok:
+        if len(set(cand.top.map)) == a.c1.n and len(set(cand.bottom.map)) == a.c0.n:
             return XModMorphism(f"iso_{a.name}_{b.name}", a, b, cand.top, cand.bottom)
     return None
 
