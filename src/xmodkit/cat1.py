@@ -10,7 +10,7 @@ the roundtrips are exercised in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .actions import action_from_section, semidirect_product
@@ -18,6 +18,8 @@ from .errors import StructuralError
 from .limits import same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
+    _bijective,
+    _level_pairs,
     _validate_endpoints,
     enumerate_morphisms,
     kernel,
@@ -200,35 +202,25 @@ def xmod_morphism_to_cat1(
 def enumerate_cat1_morphisms(
     dom: Cat1Object, cod: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[Cat1Morphism]:
+    """All (big, base) morphism pairs, big-major, that pass the squares."""
     bigs = enumerate_morphisms(dom.big, cod.big, max_size)
     bases = enumerate_morphisms(dom.base, cod.base, max_size)
     holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "phi", "psi")
-    out: list[Cat1Morphism] = []
-    for phi in bigs:
-        for psi in bases:
-            if holds(phi.map, psi.map):
-                out.append(
-                    Cat1Morphism(
-                        f"c1m{len(out)}_{dom.name}_{cod.name}", dom, cod, phi, psi
-                    )
-                )
-    return out
+    return [
+        Cat1Morphism(f"c1m{k}_{dom.name}_{cod.name}", dom, cod, phi, psi)
+        for k, (phi, psi) in enumerate(_level_pairs(bigs, bases, holds))
+    ]
 
 
 def find_cat1_isomorphism(
     a: Cat1Object, b: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Cat1Morphism]:
-    """First invertible morphism between the two objects, or None.
-
-    A bijective morphism of finite structures inverts to a morphism, and
-    bijective squares flip, so checking invertibility of both levels is
-    enough.
-    """
+    """First morphism, big-major, that is bijective at both levels, or None."""
     if a.big.profile.name != b.big.profile.name:
         return None
     if a.big.n != b.big.n or a.base.n != b.base.n:
         return None
     for f in enumerate_cat1_morphisms(a, b, max_size):
-        if len(set(f.big_map.map)) == a.big.n and len(set(f.base_map.map)) == a.base.n:
-            return Cat1Morphism(f"iso_{a.name}_{b.name}", a, b, f.big_map, f.base_map)
+        if _bijective(f.big_map, f.base_map):
+            return replace(f, name=f"iso_{a.name}_{b.name}")
     return None

@@ -1,22 +1,27 @@
-"""Morphism verification, kernels, ideals, and morphism enumeration.
+"""Morphism verification, kernels, ideals, and the one morphism search.
 
-Enumeration never scans all |B|^|A| maps. The additive reduct of a valid
-structure is a finite group, so a morphism is determined by images of a
-greedy generating set; candidates are the |B|^g image tuples (pruned by
-element-order divisibility), each extended along recorded sum
-derivations and then checked by the law table that ``morphism_report``
-runs, bound once per search. A brute-force scan is kept in the tests as
-the oracle for this routine.
+Every search in the package runs on the pieces here. The additive reduct
+of a valid structure is a finite group, so a morphism is determined by
+the images of a greedy generating set; ``_image_tables`` tries every
+tuple of generator images allowed by element orders (order divides for
+``enumerate_morphisms``, order equal for ``find_isomorphism``), extends
+it along recorded sum derivations and keeps the tables that pass the law
+table ``morphism_report`` runs, bound once per search. ``_level_pairs``
+filters pairs of level morphisms through a square law filter (crossed
+module and cat1 morphisms), and ``_bijective`` is the isomorphism test
+of every ``find_*`` function. A brute-force scan is kept in the tests as
+the oracle for these routines.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional
 
 from .errors import SizeGuardError, StructuralError
 from .report import CheckItem, Report, check
-from .structures import Morphism, Structure, Subobject, Table1, carrier, operations, subobject
+from .structures import Morphism, Structure, Subobject, carrier, operations, subobject
 from .terms import law_filter, law_table
 
 DEFAULT_MAX_SIZE = 12
@@ -123,55 +128,76 @@ def is_ideal(sub: Subobject) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# search
 
 
 def _generating_data(s: Structure):
-    """Greedy additive generators plus a derivation for every element.
+    """Greedy additive generators plus a derivation of every nonzero element.
 
-    Derivations: None for zero, ("gen", k), or ("sum", parent, k) meaning
-    element = parent + gens[k] with parent discovered earlier.
+    A derivation (element, parent, k) means element = parent + gens[k],
+    with parent zero or derived earlier; generator k is zero + gens[k].
     """
     if s.zero is None:
         raise StructuralError(f"{s.name}: no zero, cannot enumerate morphisms")
     known = {s.zero}
-    order: list[tuple[int, object]] = [(s.zero, None)]
+    order: list[tuple[int, int, int]] = []
     gens: list[int] = []
     for x in range(s.n):
         if x in known:
             continue
         gens.append(x)
         known.add(x)
-        order.append((x, ("gen", len(gens) - 1)))
+        order.append((x, s.zero, len(gens) - 1))
         grew = True
         while grew:
             grew = False
-            for e, _ in list(order):
+            for e, _, _ in list(order):
                 for k, g in enumerate(gens):
                     z = s.add[e][g]
                     if z not in known:
                         known.add(z)
-                        order.append((z, ("sum", e, k)))
+                        order.append((z, e, k))
                         grew = True
     return gens, order
 
 
-def _extend(n: int, b_add, b_zero: int, order, images) -> Table1:
-    img = [0] * n
-    for e, how in order:
-        if how is None:
-            img[e] = b_zero
-        elif how[0] == "gen":
-            img[e] = images[how[1]]
-        else:
-            _, parent, k = how
+def _image_tables(a: Structure, b: Structure, admissible):
+    """Image tables of the morphisms a -> b, in candidate order.
+
+    A candidate gives each generator an image y with
+    ``admissible(order of the generator, order of y)``; it is extended
+    along the derivations and yielded if it passes the laws of
+    ``morphism_report``, bound once.
+    """
+    gens, order = _generating_data(a)
+    allowed = []
+    for g in gens:
+        o = element_order(a, g)
+        allowed.append([y for y in range(b.n) if admissible(o, element_order(b, y))])
+    preserves = law_filter(*_hom_env(a, b), "f")
+    n, b_add, b_zero = a.n, b.add, b.zero
+    for images in itertools.product(*allowed):
+        img = [b_zero] * n
+        for e, parent, k in order:
             img[e] = b_add[img[parent]][images[k]]
-    return tuple(img)
+        m = tuple(img)
+        if preserves(m):
+            yield m
 
 
-def _preserving(a: Structure, b: Structure):
-    """The morphism laws from a to b, bound once: a verdict per image table."""
-    return law_filter(*_hom_env(a, b), "f")
+def _bijective(*maps: Morphism) -> bool:
+    """Every map is one-to-one onto its codomain.
+
+    A bijective morphism of finite structures inverts to a morphism, and
+    squares of bijective levels flip, so the isomorphism searches need no
+    other check.
+    """
+    return all(len(set(f.map)) == len(f.map) == f.cod.n for f in maps)
+
+
+def _level_pairs(outer, inner, holds) -> list:
+    """(o, i) pairs of level morphisms, outer-major, with holds(o.map, i.map)."""
+    return [(o, i) for o in outer for i in inner if holds(o.map, i.map)]
 
 
 def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE) -> list[Morphism]:
@@ -186,26 +212,14 @@ def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_
         )
     if b.zero is None:
         raise StructuralError(f"{b.name}: no zero, cannot enumerate morphisms")
-    gens, order = _generating_data(a)
-    allowed = []
-    for g in gens:
-        o = element_order(a, g)
-        allowed.append([y for y in range(b.n) if o % element_order(b, y) == 0])
-    preserves = _preserving(a, b)
-    n, b_add, b_zero = a.n, b.add, b.zero
-    found = []
-    for images in itertools.product(*allowed):
-        m = _extend(n, b_add, b_zero, order, images)
-        if preserves(m):
-            found.append(m)
-    found.sort()
+    found = sorted(_image_tables(a, b, lambda o, p: o % p == 0))
     return [Morphism(f"hom{k}_{a.name}_{b.name}", a, b, m) for k, m in enumerate(found)]
 
 
 def find_isomorphism(
     a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Morphism]:
-    """First bijective morphism, or None."""
+    """First bijective morphism in candidate order, or None."""
     if a.profile.name != b.profile.name:
         return None
     if a.n != b.n:
@@ -218,17 +232,8 @@ def find_isomorphism(
         element_order(b, i) for i in range(b.n)
     ):
         return None
-    gens, order = _generating_data(a)
-    allowed = []
-    for g in gens:
-        o = element_order(a, g)
-        allowed.append([y for y in range(b.n) if element_order(b, y) == o])
-    # the inverse of a bijective morphism of finite structures preserves
-    # every table too, so it needs no check of its own
-    preserves = _preserving(a, b)
-    n, b_add, b_zero = a.n, b.add, b.zero
-    for images in itertools.product(*allowed):
-        m = _extend(n, b_add, b_zero, order, images)
-        if len(set(m)) == n and preserves(m):
-            return Morphism(f"iso_{a.name}_{b.name}", a, b, m)
+    for m in _image_tables(a, b, operator.eq):
+        iso = Morphism(f"iso_{a.name}_{b.name}", a, b, m)
+        if _bijective(iso):
+            return iso
     return None

@@ -9,10 +9,13 @@ always relative to one profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import StructuralError
-from .terms import App, Identity, Term, Var, Zero, term_ops
+from .terms import App, Identity, Var, Zero, term_ops
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .terms import Term
 
 RESERVED = ("add", "neg", "0")
 

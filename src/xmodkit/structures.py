@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from .errors import ClosureError, StructuralError
 from .profiles import VarietyProfile
 from .report import CheckItem, Report, check
-from .terms import App, Equation, Identity, Law, Term, Var, Zero, eval_term
+from .terms import App, Equation, Identity, Law, Var, Zero, eval_term
 
 Table1 = tuple[int, ...]
 Table2 = tuple[Table1, ...]
@@ -72,9 +72,6 @@ class Morphism:
     dom: Structure
     cod: Structure
     map: Table1
-
-    def apply(self, i: int) -> int:
-        return self.map[i]
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,8 @@ def make_structure(
 # law lists
 
 
-def _v(n: str) -> Term:
-    return Var(n)
-
-
 def _group_laws() -> list[Identity]:
-    x, y, z = _v("x"), _v("y"), _v("z")
+    x, y, z = Var("x"), Var("y"), Var("z")
     a = lambda p, q: App("add", (p, q))  # noqa: E731
     return [
         Identity("add-assoc", a(a(x, y), z), a(x, a(y, z))),
@@ -193,7 +186,7 @@ def _group_laws() -> list[Identity]:
 
 
 def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Identity, ...]:
-    x, y, z, w = _v("x"), _v("y"), _v("z"), _v("w")
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
     a = lambda p, q: App("add", (p, q))  # noqa: E731
     laws = _group_laws()
     for sym in profile.binary_symbols():

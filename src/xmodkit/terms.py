@@ -22,12 +22,18 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import ParseError, StructuralError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from typing import Union
+
     from .structures import Structure
+
+    # only for annotations: a Union built at import would stay in typing's
+    # cache and keep every earlier load of this module alive
+    Term = Union["Var", "Zero", "App"]
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,6 @@ class Zero:
 class App:
     op: str
     args: tuple["Term", ...]
-
-
-Term = Union[Var, Zero, App]
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class Identity:
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     toks: list[tuple[str, int]] = []
-    col = 0
     cur = ""
     start = 0
     for i, ch in enumerate(text):
@@ -81,7 +83,6 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             if not cur:
                 start = i
             cur += ch
-        col = i
     if cur:
         toks.append((cur, start))
     return toks
@@ -91,13 +92,13 @@ def parse_term(text: str) -> Term:
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty term", col=0)
-    term, pos = _parse_one(toks, 0, text)
+    term, pos = _parse_one(toks, 0)
     if pos != len(toks):
         raise ParseError("trailing tokens after term", col=toks[pos][1])
     return term
 
 
-def _parse_one(toks: list[tuple[str, int]], pos: int, text: str) -> tuple[Term, int]:
+def _parse_one(toks: list[tuple[str, int]], pos: int) -> tuple[Term, int]:
     tok, col = toks[pos]
     if tok == ")":
         raise ParseError("unexpected ')'", col=col)
@@ -116,7 +117,7 @@ def _parse_one(toks: list[tuple[str, int]], pos: int, text: str) -> tuple[Term, 
             raise ParseError("unclosed '('", col=col)
         if toks[pos][0] == ")":
             return App(op, tuple(args)), pos + 1
-        arg, pos = _parse_one(toks, pos, text)
+        arg, pos = _parse_one(toks, pos)
         args.append(arg)
 
 

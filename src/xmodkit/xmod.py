@@ -9,7 +9,8 @@ do. Slice constructions keep one base fixed and only move the top level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .actions import (
@@ -24,6 +25,8 @@ from .limits import equalizer, fiber_product, same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     UNIVERSAL_MAX_SIZE,
+    _bijective,
+    _level_pairs,
     compose,
     enumerate_morphisms,
     identity_morphism,
@@ -352,24 +355,14 @@ def xmod_equalizer(
 def _square_pairs(
     dom: CrossedModule, cod: CrossedModule, tops, bottoms, prefix: str
 ) -> list[XModMorphism]:
-    """Candidate (top, bottom) pairs that pass the morphism squares of
-    verify_xmod_morphism; names are prefix, count, endpoints.
+    """Candidate (top, bottom) pairs, bottom-major, that pass the morphism
+    squares of verify_xmod_morphism; names are prefix, count, endpoints.
     """
-    holds = law_filter(*_square_env(dom, cod), "top", "bot")
-    out = []
-    for bot_m in bottoms:
-        for top_m in tops:
-            if holds(top_m.map, bot_m.map):
-                out.append(
-                    XModMorphism(
-                        f"{prefix}{len(out)}_{dom.name}_{cod.name}",
-                        dom,
-                        cod,
-                        Morphism(top_m.name, dom.c1, cod.c1, top_m.map),
-                        Morphism(bot_m.name, dom.c0, cod.c0, bot_m.map),
-                    )
-                )
-    return out
+    pairs = _level_pairs(bottoms, tops, law_filter(*_square_env(dom, cod), "bot", "top"))
+    return [
+        XModMorphism(f"{prefix}{k}_{dom.name}_{cod.name}", dom, cod, top, bot)
+        for k, (bot, top) in enumerate(pairs)
+    ]
 
 
 def enumerate_slice_morphisms(
@@ -397,24 +390,15 @@ def enumerate_xmod_morphisms(
 def find_xmod_isomorphism(
     a: CrossedModule, b: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[XModMorphism]:
+    """First morphism, bottom-major, that is bijective at both levels, or None."""
     if a.c1.profile.name != b.c1.profile.name:
         return None
     if a.c1.n != b.c1.n or a.c0.n != b.c0.n:
         return None
-    # a bijective morphism inverts to a morphism and its squares flip, so
-    # bijectivity at both levels is enough
     for cand in enumerate_xmod_morphisms(a, b, max_size):
-        if len(set(cand.top.map)) == a.c1.n and len(set(cand.bottom.map)) == a.c0.n:
-            return XModMorphism(f"iso_{a.name}_{b.name}", a, b, cand.top, cand.bottom)
+        if _bijective(cand.top, cand.bottom):
+            return replace(cand, name=f"iso_{a.name}_{b.name}")
     return None
-
-
-def _guard_testers(testers, max_size: int) -> None:
-    for t in testers:
-        if t.c1.n > max_size or t.c0.n > max_size:
-            raise SizeGuardError(
-                f"universal cone tester {t.name} exceeds guard {max_size}"
-            )
 
 
 def verify_universal_cone(
@@ -429,32 +413,14 @@ def verify_universal_cone(
 
     terminal/initial/product/pullback work in the slice over the shared
     base (identity bottoms); equalizer works with unrestricted morphism
-    pairs.
+    pairs. A cone is the tuple of its leg tables; the candidate's
+    morphisms from a tester are counted once by the tables of their
+    composites with the legs, and each cone reads its count there.
     """
-    _guard_testers(testers, max_size)
-    items: list[CheckItem] = []
-
-    def emit(tester_name: str, counts: list[int], cones: int) -> None:
-        law = f"mediator[{tester_name}]"
-        if cones == 0:
-            items.append(CheckItem(law, True, (), "no cones from this tester"))
-        elif all(c == 1 for c in counts):
-            items.append(CheckItem(law, True, (), f"cones={cones}"))
-        else:
-            bad = next(i for i, c in enumerate(counts) if c != 1)
-            items.append(
-                CheckItem(law, False, (str(bad),), f"cone {bad} has {counts[bad]} mediators")
-            )
-
-    if kind == "terminal":
-        for t in testers:
-            count = len(enumerate_slice_morphisms(t, candidate))
-            emit(t.name, [count], 1)
-    elif kind == "initial":
-        for t in testers:
-            count = len(enumerate_slice_morphisms(candidate, t))
-            emit(t.name, [count], 1)
-    elif kind in ("product", "pullback"):
+    for t in testers:
+        if t.c1.n > max_size or t.c0.n > max_size:
+            raise SizeGuardError(f"universal cone tester {t.name} exceeds guard {max_size}")
+    if kind in ("product", "pullback"):
         if len(legs) != 2:
             raise StructuralError(f"{kind} cone needs two legs")
         p1, p2 = legs
@@ -462,58 +428,55 @@ def verify_universal_cone(
             if parallel is None or len(parallel) != 2:
                 raise StructuralError("pullback cone needs the two cospan morphisms")
             f, g = parallel
-        for t in testers:
-            into_a = enumerate_slice_morphisms(t, p1.cod)
-            into_b = enumerate_slice_morphisms(t, p2.cod)
-            into_c = enumerate_slice_morphisms(t, candidate)
-            counts = []
-            cones = 0
-            for u in into_a:
-                for v in into_b:
-                    if kind == "pullback":
-                        if (
-                            compose(f.top, u.top).map
-                            != compose(g.top, v.top).map
-                        ):
-                            continue
-                    cones += 1
-                    counts.append(
-                        sum(
-                            1
-                            for w in into_c
-                            if compose(p1.top, w.top).map == u.top.map
-                            and compose(p2.top, w.top).map == v.top.map
-                        )
-                    )
-            emit(t.name, counts, cones)
+        leg_levels = ((p1.top, "top"), (p2.top, "top"))
     elif kind == "equalizer":
         if len(legs) != 1:
             raise StructuralError("equalizer cone needs one inclusion leg")
         if parallel is None or len(parallel) != 2:
             raise StructuralError("equalizer cone needs the parallel morphism pair")
-        incl = legs[0]
-        f, g = parallel
-        for t in testers:
-            into_a = enumerate_xmod_morphisms(t, f.dom)
-            into_e = enumerate_xmod_morphisms(t, candidate)
-            counts = []
-            cones = 0
-            for u in into_a:
-                if (
-                    compose(f.top, u.top).map != compose(g.top, u.top).map
-                    or compose(f.bottom, u.bottom).map != compose(g.bottom, u.bottom).map
-                ):
-                    continue
-                cones += 1
-                counts.append(
-                    sum(
-                        1
-                        for w in into_e
-                        if compose(incl.top, w.top).map == u.top.map
-                        and compose(incl.bottom, w.bottom).map == u.bottom.map
-                    )
-                )
-            emit(t.name, counts, cones)
+        (incl,), (f, g) = legs, parallel
+        leg_levels = ((incl.top, "top"), (incl.bottom, "bottom"))
+    elif kind in ("terminal", "initial"):
+        leg_levels = ()
     else:
         raise StructuralError(f"unknown cone kind {kind!r}")
+    items: list[CheckItem] = []
+    for t in testers:
+        if kind == "terminal":
+            cones, mediators = [()], enumerate_slice_morphisms(t, candidate)
+        elif kind == "initial":
+            cones, mediators = [()], enumerate_slice_morphisms(candidate, t)
+        elif kind == "equalizer":
+            cones = [
+                (u.top.map, u.bottom.map)
+                for u in enumerate_xmod_morphisms(t, f.dom)
+                if compose(f.top, u.top).map == compose(g.top, u.top).map
+                and compose(f.bottom, u.bottom).map == compose(g.bottom, u.bottom).map
+            ]
+            mediators = enumerate_xmod_morphisms(t, candidate)
+        else:
+            into_a = enumerate_slice_morphisms(t, p1.cod)
+            into_b = enumerate_slice_morphisms(t, p2.cod)
+            cones = [
+                (u.top.map, v.top.map)
+                for u in into_a
+                for v in into_b
+                if kind == "product" or compose(f.top, u.top).map == compose(g.top, v.top).map
+            ]
+            mediators = enumerate_slice_morphisms(t, candidate)
+        index = Counter(
+            tuple(compose(leg, getattr(w, level)).map for leg, level in leg_levels)
+            for w in mediators
+        )
+        counts = [index[c] for c in cones]
+        law = f"mediator[{t.name}]"
+        if not counts:
+            items.append(CheckItem(law, True, (), "no cones from this tester"))
+        elif all(c == 1 for c in counts):
+            items.append(CheckItem(law, True, (), f"cones={len(counts)}"))
+        else:
+            bad = next(i for i, c in enumerate(counts) if c != 1)
+            items.append(
+                CheckItem(law, False, (str(bad),), f"cone {bad} has {counts[bad]} mediators")
+            )
     return Report(f"{kind} cone {candidate.name}", tuple(items))

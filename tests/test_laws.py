@@ -179,18 +179,31 @@ def _all_maps(a, b):
         yield Morphism("m", a, b, images)
 
 
+def _bijective(table, n):
+    return len(table) == n == len(set(table))
+
+
 def test_morphism_search_equals_report_filter(no_interpreter):
     small = [s for s in zoo_structures() + [make_cyclic(3)] if s.n <= 4]
     pairs = [(a, b) for a in small for b in small if a.profile.name == b.profile.name]
     assert len(pairs) == 13
+    isos = 0
     for a, b in pairs:
         brute = [m.map for m in _all_maps(a, b) if morphism_report(m).ok]
         assert [m.map for m in enumerate_morphisms(a, b)] == brute, (a.name, b.name)
+        # the isomorphism search walks its own candidate order, not the sorted one
+        bijections = [m for m in brute if _bijective(m, b.n)]
+        iso = find_isomorphism(a, b)
+        assert (iso is None) == (not bijections), (a.name, b.name)
+        if iso is not None:
+            assert iso.map in bijections
+            isos += 1
+    assert 0 < isos < len(pairs)
 
 
 def test_xmod_search_equals_report_filter(no_interpreter):
     zoo = [x for x in make_standard_xmods().values() if x.c1.n * x.c0.n <= 36]
-    checked = 0
+    checked = isos = 0
     for d, c in itertools.product(zoo, repeat=2):
         if d.c0.profile.name != c.c0.profile.name:
             continue
@@ -204,17 +217,25 @@ def test_xmod_search_equals_report_filter(no_interpreter):
         ]
         found = [(m.top.map, m.bottom.map) for m in enumerate_xmod_morphisms(d, c)]
         assert found == brute, (d.name, c.name)
+        first = next(
+            (p for p in brute if _bijective(p[0], c.c1.n) and _bijective(p[1], c.c0.n)), None
+        )
+        iso = find_xmod_isomorphism(d, c)
+        got = None if iso is None else (iso.top.map, iso.bottom.map)
+        assert got == first, (d.name, c.name)
+        isos += first is not None
         ident = tuple(range(d.c0.n))
         if d.c0 is c.c0 or d.c0 == c.c0:
             slices = [(m.top.map, m.bottom.map) for m in enumerate_slice_morphisms(d, c)]
             assert slices == [pair for pair in brute if pair[1] == ident]
         checked += 1
     assert checked >= 10
+    assert 0 < isos < checked
 
 
 def test_cat1_search_equals_report_filter(no_interpreter):
     cats = [c for c in zoo_cat1s() if c.big.n <= 12]
-    checked = 0
+    checked = isos = 0
     for d, c in itertools.product(cats, repeat=2):
         if d.big.profile.name != c.big.profile.name:
             continue
@@ -228,8 +249,16 @@ def test_cat1_search_equals_report_filter(no_interpreter):
         ]
         found = [(m.big_map.map, m.base_map.map) for m in enumerate_cat1_morphisms(d, c)]
         assert found == brute, (d.name, c.name)
+        first = next(
+            (p for p in brute if _bijective(p[0], c.big.n) and _bijective(p[1], c.base.n)), None
+        )
+        iso = find_cat1_isomorphism(d, c)
+        got = None if iso is None else (iso.big_map.map, iso.base_map.map)
+        assert got == first, (d.name, c.name)
+        isos += first is not None
         checked += 1
     assert checked >= 5
+    assert 0 < isos < checked
 
 
 # ---------------------------------------------------------------------------

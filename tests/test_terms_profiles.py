@@ -4,6 +4,11 @@ Expected values here are frozen from hand evaluation over small mod-n
 tables computed independently in the tests themselves.
 """
 
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 
 from xmodkit.errors import StructuralError
@@ -136,3 +141,28 @@ def test_unknown_ops_in_identity_rejected():
 def test_unknown_profile_name():
     with pytest.raises(StructuralError):
         get_profile("no-such-profile")
+
+
+def _package_modules():
+    return {n: m for n, m in sys.modules.items() if n == "xmodkit" or n.startswith("xmodkit.")}
+
+
+def test_reimport_releases_previous_package():
+    # a fresh import of the package must not keep the previous one alive,
+    # e.g. through a typing Union over the term classes cached at import
+    saved = _package_modules()
+    try:
+        refs = []
+        for _ in range(2):
+            for name in _package_modules():
+                del sys.modules[name]
+            for mod in ("cli", "zoo", "pullbacks"):
+                importlib.import_module(f"xmodkit.{mod}")
+            refs.append(weakref.ref(sys.modules["xmodkit.terms"].App))
+        gc.collect()
+        assert refs[0]() is None
+        assert refs[1]() is not None
+    finally:
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -345,7 +345,51 @@ def test_universal_cone_terminal_initial_product():
     # the initial object posing as this product has no mediator from xm
     leg = enumerate_slice_morphisms(ini, xm)[0]
     bad = verify_universal_cone("product", ini, legs=(leg, leg), testers=[xm])
+    assert bad.lines()[0] == "FAIL mediator[z2_into_z4] at (0): cone 0 has 0 mediators"
     assert not bad.ok
+
+
+def test_universal_cone_counts_every_mediator():
+    # a zero boundary lets both levels of the product move freely: posed
+    # with legs (p1, p1), the diagonal cone (u, u) has one mediator per
+    # second component and the off-diagonal cones have none
+    z2, z4 = oracle_cyclic(2, "z2"), oracle_cyclic(4, "z4")
+    crushed = make_xmod("crushed", Morphism("zero", z2, z4, (0, 0)), trivial_action(z4, z2))
+    assert len(enumerate_slice_morphisms(crushed, crushed)) == 2
+    prod, p1, p2 = slice_product(crushed, crushed)
+    testers = [crushed, slice_initial(z4)]
+    good = verify_universal_cone("product", prod, legs=(p1, p2), testers=testers)
+    assert [item.detail for item in good.items] == ["cones=4", "cones=1"]
+    bad = verify_universal_cone("product", prod, legs=(p1, p1), testers=testers)
+    assert bad.render() == (
+        "FAIL mediator[crushed] at (0): cone 0 has 2 mediators\n"
+        "PASS mediator[init_z4]\n"
+        "RESULT FAIL product cone prod_crushed_crushed"
+    )
+
+
+def test_universal_cone_rejects_malformed_requests():
+    z4 = oracle_cyclic(4, "z4")
+    xm, ini = xm_z2_z4(), slice_initial(z4)
+    prod, p1, p2 = slice_product(xm, inclusion_xmod(z4, (0, 2)))
+    ident = xmod_identity(xm)
+    cases = [
+        (("product", prod), {"legs": (p1,)}, "product cone needs two legs"),
+        (("pullback", prod), {"legs": (p1, p2)}, "pullback cone needs the two cospan morphisms"),
+        (("pullback", prod), {"legs": (p1, p2), "parallel": (ident,)},
+         "pullback cone needs the two cospan morphisms"),
+        (("equalizer", xm), {"legs": (ident, ident), "parallel": (ident, ident)},
+         "equalizer cone needs one inclusion leg"),
+        (("equalizer", xm), {"legs": (ident,)}, "equalizer cone needs the parallel morphism pair"),
+        (("coproduct", xm), {}, "unknown cone kind 'coproduct'"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(StructuralError) as err:
+            verify_universal_cone(*args, testers=[ini], **kwargs)
+        assert str(err.value) == message
+    # legs that start at another object cannot be composed with the mediators
+    with pytest.raises(StructuralError, match="cannot compose fst_.*: endpoint mismatch"):
+        verify_universal_cone("product", ini, legs=(p1, p2), testers=[ini])
 
 
 def test_universal_cone_pullback_and_equalizer():
