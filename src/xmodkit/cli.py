@@ -9,6 +9,14 @@ Two families of subcommands share fixed conventions:
   built object to stdout and exit 0; with -o the object and any companion
   morphisms are also written as .mci files next to the output path.
 
+Two tables drive them. The kind table (``_kind``) maps each object type
+to its verifier, serializer and saver. The construction table
+(``_constructions``) maps each construction command, and each ``limit``
+kind, to its input loaders and its build. One runner, ``_construct``,
+does load -> gate -> build -> emit for every row; ``verify`` and the
+``check-*`` commands take their verifier from the kind table.
+``check-universal`` and ``square-check`` have their own bodies.
+
 Unreadable or malformed files, size-guard trips, and other structural
 problems print an ERROR line to stderr and exit 2.
 """
@@ -18,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .actions import DerivedAction, check_derived_action, semidirect_product
 from .cat1 import Cat1Object, cat1_to_xmod, verify_cat1, xmod_to_cat1
@@ -31,13 +39,18 @@ from .io import (
     load_structure,
     load_xmod,
     load_xmodmorphism,
+    save_action,
     save_cat1,
+    save_morphism,
     save_structure,
     save_xmod,
     save_xmodmorphism,
+    serialize_action,
     serialize_cat1,
+    serialize_morphism,
     serialize_structure,
     serialize_xmod,
+    serialize_xmodmorphism,
 )
 from .limits import direct_product, equalizer, fiber_product
 from .morphisms import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, morphism_report
@@ -58,18 +71,72 @@ from .xmod import (
 )
 
 
-def _report_for(obj) -> Report:
-    if isinstance(obj, Structure):
-        return verify_structure(obj)
-    if isinstance(obj, Morphism):
-        return morphism_report(obj)
-    if isinstance(obj, DerivedAction):
-        return check_derived_action(obj)
-    if isinstance(obj, CrossedModule):
-        return verify_xmod(obj)
-    if isinstance(obj, XModMorphism):
-        return verify_xmod_morphism(obj)
-    return verify_cat1(obj)
+class _Kind(NamedTuple):
+    verify: Callable[[Any], Report]
+    serialize: Callable[[Any], str]
+    save: Callable[[Any, Any], None]
+
+
+# Both tables are built at call time, so a wrapper bound to one of these
+# names after import (bench/tracer.py wraps each layer so) is the one used.
+
+
+def _kind(obj) -> _Kind:
+    """The kind table: object type -> (verifier, serializer, saver)."""
+    return {
+        Structure: _Kind(verify_structure, serialize_structure, save_structure),
+        Morphism: _Kind(morphism_report, serialize_morphism, save_morphism),
+        DerivedAction: _Kind(check_derived_action, serialize_action, save_action),
+        CrossedModule: _Kind(verify_xmod, serialize_xmod, save_xmod),
+        XModMorphism: _Kind(verify_xmod_morphism, serialize_xmodmorphism, save_xmodmorphism),
+        Cat1Object: _Kind(verify_cat1, serialize_cat1, save_cat1),
+    }[type(obj)]
+
+
+def _with_legs(make: Callable, *suffixes: str) -> Callable:
+    """A build from a constructor returning (object, leg, ...).
+
+    The legs named by suffixes, in order, are saved under -o; any further
+    results are dropped.
+    """
+
+    def build(*inputs):
+        obj, *legs = make(*inputs)
+        return obj, tuple(zip(suffixes, legs))
+
+    return build
+
+
+def _constructions() -> dict:
+    """The construction table: command line words -> (loaders, build).
+
+    The loaders read the inputs in argument order; the build returns the
+    object and its (suffix, leg) pairs.
+    """
+    return {
+        "semidirect": ((load_action,), _with_legs(semidirect_product)),
+        "to-cat1": ((load_xmod,), lambda xm: (xmod_to_cat1(xm), ())),
+        "to-xmod": ((load_cat1,), lambda c: (cat1_to_xmod(c), ())),
+        "limit product": ((load_structure, load_structure), _with_legs(direct_product)),
+        "limit pullback": ((load_morphism, load_morphism), _with_legs(fiber_product)),
+        "limit equalizer": (
+            (load_morphism, load_morphism),
+            lambda f, g: (equalizer(f, g).induced, ()),
+        ),
+        "limit slice-terminal": ((load_structure,), lambda x: (slice_terminal(x), ())),
+        "limit slice-initial": ((load_structure,), lambda x: (slice_initial(x), ())),
+        "limit slice-product": ((load_xmod, load_xmod), _with_legs(slice_product, "fst", "snd")),
+        "limit slice-pullback": (
+            (load_xmodmorphism, load_xmodmorphism),
+            _with_legs(slice_pullback, "fst", "snd"),
+        ),
+        "limit slice-equalizer": (
+            (load_xmodmorphism, load_xmodmorphism),
+            _with_legs(xmod_equalizer, "incl"),
+        ),
+        "pullback-xmod": ((load_xmod, load_morphism), _with_legs(pullback_xmod, "proj")),
+        "pullback-cat1": ((load_cat1, load_morphism), _with_legs(pullback_cat1)),
+    }
 
 
 def _finish(report: Report) -> int:
@@ -77,185 +144,38 @@ def _finish(report: Report) -> int:
     return 0 if report.ok else 1
 
 
-def _gate(*reports: Report) -> int | None:
-    """Print the first failing input report and signal a math failure."""
-    for rep in reports:
-        if not rep.ok:
-            print(rep.render())
-            return 1
-    return None
+def _check(args) -> int:
+    obj = args.load(args.file)
+    return _finish(_kind(obj).verify(obj))
 
 
-def _side_path(out: str, suffix: str) -> Path:
-    p = Path(out)
-    return p.with_name(f"{p.stem}_{suffix}{p.suffix}")
+def _construct(args) -> int:
+    """Load every input, gate each with its verifier, build, and emit.
 
-
-def _emit_structure(s: Structure, out: str | None) -> int:
-    sys.stdout.write(serialize_structure(s))
-    if out:
-        save_structure(s, out)
-    return 0
-
-
-def _emit_xmod(
-    xm: CrossedModule,
-    out: str | None,
-    legs: Sequence[tuple[str, XModMorphism]] = (),
-) -> int:
-    sys.stdout.write(serialize_xmod(xm))
-    if out:
-        save_xmod(xm, out)
+    All inputs load before any gate runs; the first failing report in
+    argument order is printed and the command exits 1.
+    """
+    if args.command == "limit":
+        key, paths = f"limit {args.kind}", args.files
+    else:
+        key, paths = args.command, [getattr(args, dest) for dest in args.inputs]
+    loaders, build = _constructions()[key]
+    if len(paths) != len(loaders):  # only limit takes a variable file count
+        raise XmodkitError(f"{key} takes {len(loaders)} file(s), got {len(paths)}")
+    inputs = [load(path) for load, path in zip(loaders, paths)]
+    for x in inputs:
+        report = _kind(x).verify(x)
+        if not report.ok:
+            return _finish(report)
+    obj, legs = build(*inputs)
+    kind = _kind(obj)
+    sys.stdout.write(kind.serialize(obj))
+    if args.out:
+        kind.save(obj, args.out)
+        out = Path(args.out)
         for suffix, leg in legs:
-            save_xmodmorphism(leg, _side_path(out, suffix))
+            _kind(leg).save(leg, out.with_name(f"{out.stem}_{suffix}{out.suffix}"))
     return 0
-
-
-def _emit_cat1(c: Cat1Object, out: str | None) -> int:
-    sys.stdout.write(serialize_cat1(c))
-    if out:
-        save_cat1(c, out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies
-
-
-def _cmd_verify(args) -> int:
-    _, obj = load_any(args.file)
-    return _finish(_report_for(obj))
-
-
-def _cmd_check_action(args) -> int:
-    return _finish(check_derived_action(load_action(args.file)))
-
-
-def _cmd_check_xmod(args) -> int:
-    return _finish(verify_xmod(load_xmod(args.file)))
-
-
-def _cmd_check_cat1(args) -> int:
-    return _finish(verify_cat1(load_cat1(args.file)))
-
-
-def _cmd_semidirect(args) -> int:
-    act = load_action(args.file)
-    bad = _gate(check_derived_action(act))
-    if bad:
-        return bad
-    prod, _, _, _ = semidirect_product(act)
-    return _emit_structure(prod, args.out)
-
-
-def _cmd_to_cat1(args) -> int:
-    xm = load_xmod(args.file)
-    bad = _gate(verify_xmod(xm))
-    if bad:
-        return bad
-    return _emit_cat1(xmod_to_cat1(xm), args.out)
-
-
-def _cmd_to_xmod(args) -> int:
-    c = load_cat1(args.file)
-    bad = _gate(verify_cat1(c))
-    if bad:
-        return bad
-    return _emit_xmod(cat1_to_xmod(c), args.out)
-
-
-_LIMIT_ARITY = {
-    "product": 2,
-    "pullback": 2,
-    "equalizer": 2,
-    "slice-terminal": 1,
-    "slice-initial": 1,
-    "slice-product": 2,
-    "slice-pullback": 2,
-    "slice-equalizer": 2,
-}
-
-
-def _cmd_limit(args) -> int:
-    kind, files, out = args.kind, args.files, args.out
-    if len(files) != _LIMIT_ARITY[kind]:
-        raise XmodkitError(
-            f"limit {kind} takes {_LIMIT_ARITY[kind]} file(s), got {len(files)}"
-        )
-
-    if kind == "product":
-        a, b = load_structure(files[0]), load_structure(files[1])
-        bad = _gate(verify_structure(a), verify_structure(b))
-        if bad:
-            return bad
-        prod, _, _ = direct_product(a, b)
-        return _emit_structure(prod, out)
-
-    if kind == "pullback":
-        f, g = load_morphism(files[0]), load_morphism(files[1])
-        bad = _gate(morphism_report(f), morphism_report(g))
-        if bad:
-            return bad
-        fib, _, _ = fiber_product(f, g)
-        return _emit_structure(fib, out)
-
-    if kind == "equalizer":
-        f, g = load_morphism(files[0]), load_morphism(files[1])
-        bad = _gate(morphism_report(f), morphism_report(g))
-        if bad:
-            return bad
-        return _emit_structure(equalizer(f, g).induced, out)
-
-    if kind in ("slice-terminal", "slice-initial"):
-        x = load_structure(files[0])
-        bad = _gate(verify_structure(x))
-        if bad:
-            return bad
-        make = slice_terminal if kind == "slice-terminal" else slice_initial
-        return _emit_xmod(make(x), out)
-
-    if kind == "slice-product":
-        x1, x2 = load_xmod(files[0]), load_xmod(files[1])
-        bad = _gate(verify_xmod(x1), verify_xmod(x2))
-        if bad:
-            return bad
-        prod, p1, p2 = slice_product(x1, x2)
-        return _emit_xmod(prod, out, (("fst", p1), ("snd", p2)))
-
-    if kind == "slice-pullback":
-        f, g = load_xmodmorphism(files[0]), load_xmodmorphism(files[1])
-        bad = _gate(verify_xmod_morphism(f), verify_xmod_morphism(g))
-        if bad:
-            return bad
-        fib, p1, p2 = slice_pullback(f, g)
-        return _emit_xmod(fib, out, (("fst", p1), ("snd", p2)))
-
-    f, g = load_xmodmorphism(files[0]), load_xmodmorphism(files[1])
-    bad = _gate(verify_xmod_morphism(f), verify_xmod_morphism(g))
-    if bad:
-        return bad
-    eq, incl = xmod_equalizer(f, g)
-    return _emit_xmod(eq, out, (("incl", incl),))
-
-
-def _cmd_pullback_xmod(args) -> int:
-    x = load_xmod(args.xmod)
-    phi = load_morphism(args.along)
-    bad = _gate(verify_xmod(x), morphism_report(phi))
-    if bad:
-        return bad
-    pb, proj = pullback_xmod(x, phi)
-    return _emit_xmod(pb, args.out, (("proj", proj),))
-
-
-def _cmd_pullback_cat1(args) -> int:
-    c = load_cat1(args.cat1)
-    phi = load_morphism(args.along)
-    bad = _gate(verify_cat1(c), morphism_report(phi))
-    if bad:
-        return bad
-    pc, _ = pullback_cat1(c, phi)
-    return _emit_cat1(pc, args.out)
 
 
 def _cmd_check_universal(args) -> int:
@@ -299,41 +219,43 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("verify", _cmd_verify, "verify any .mci file according to its kind")
-    p.add_argument("file")
+    def check(name: str, load: Callable, help_text: str):
+        p = add(name, _check, help_text)
+        p.add_argument("file")
+        p.set_defaults(load=load)
 
-    p = add("check-action", _cmd_check_action, "check the derived action conditions")
-    p.add_argument("file")
-    p = add("check-xmod", _cmd_check_xmod, "check the crossed module laws")
-    p.add_argument("file")
-    p = add("check-cat1", _cmd_check_cat1, "check the split object laws")
-    p.add_argument("file")
+    def construct(name: str, help_text: str, *inputs: str):
+        """A construction command: its inputs in argument order, then -o."""
+        p = add(name, _construct, help_text)
+        for arg in inputs:
+            if arg.startswith("--"):
+                p.add_argument(arg, required=True)
+            else:
+                p.add_argument(arg)
+        p.add_argument("-o", "--out")
+        p.set_defaults(inputs=[arg.lstrip("-") for arg in inputs])
 
-    p = add("semidirect", _cmd_semidirect, "build the semidirect product of an action")
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
+    check("verify", lambda path: load_any(path)[1], "verify any .mci file according to its kind")
+    check("check-action", load_action, "check the derived action conditions")
+    check("check-xmod", load_xmod, "check the crossed module laws")
+    check("check-cat1", load_cat1, "check the split object laws")
 
-    p = add("to-cat1", _cmd_to_cat1, "translate a crossed module to a split object")
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
-    p = add("to-xmod", _cmd_to_xmod, "translate a split object to a crossed module")
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
+    construct("semidirect", "build the semidirect product of an action", "file")
+    construct("to-cat1", "translate a crossed module to a split object", "file")
+    construct("to-xmod", "translate a split object to a crossed module", "file")
 
-    p = add("limit", _cmd_limit, "build a limit of structures or crossed modules")
-    p.add_argument("kind", choices=sorted(_LIMIT_ARITY))
+    p = add("limit", _construct, "build a limit of structures or crossed modules")
+    kinds = [key.split()[1] for key in _constructions() if key.startswith("limit ")]
+    p.add_argument("kind", choices=sorted(kinds))
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--out")
 
-    p = add("pullback-xmod", _cmd_pullback_xmod, "pull a crossed module back along a base morphism")
-    p.add_argument("--xmod", required=True)
-    p.add_argument("--along", required=True)
-    p.add_argument("-o", "--out")
-
-    p = add("pullback-cat1", _cmd_pullback_cat1, "pull a split object back along a base morphism")
-    p.add_argument("--cat1", required=True)
-    p.add_argument("--along", required=True)
-    p.add_argument("-o", "--out")
+    construct(
+        "pullback-xmod", "pull a crossed module back along a base morphism", "--xmod", "--along"
+    )
+    construct(
+        "pullback-cat1", "pull a split object back along a base morphism", "--cat1", "--along"
+    )
 
     p = add(
         "check-universal",
@@ -371,10 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         where = f" at ({', '.join(str(w) for w in exc.witness)})" if exc.witness else ""
         print(f"FAIL {exc}{where}")
         return 1
-    except XmodkitError as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (XmodkitError, OSError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 2
 

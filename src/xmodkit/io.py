@@ -56,11 +56,14 @@ class _Cursor:
             raise ParseError(f"expected {key!r}, found {fields[0]!r}", line=line)
         return line, fields
 
+    def after_end(self) -> None:
+        """Reject any row after the 'end' row just read."""
+        if not self.done():
+            raise ParseError("content after end", line=self.rows[self.k][0])
+
     def finish(self) -> None:
         self.take("end")
-        if not self.done():
-            line, _ = self.rows[self.k]
-            raise ParseError("content after end", line=line)
+        self.after_end()
 
 
 def _lookup(idx: dict[str, int], token: str, line: int) -> int:
@@ -92,10 +95,7 @@ def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], li
 
 def parse_structure(text: str) -> Structure:
     c = _Cursor(text)
-    line, fields = c.take("structure")
-    if len(fields) != 2:
-        raise ParseError("'structure' line needs exactly one name", line=line)
-    name = fields[1]
+    name = _take_name(c, "structure")
     line, fields = c.take("profile")
     if len(fields) != 2:
         raise ParseError("'profile' line needs exactly one name", line=line)
@@ -146,9 +146,7 @@ def parse_structure(text: str) -> Structure:
         raise ParseError("missing add table", line=line)
     if neg is None:
         raise ParseError("missing neg table", line=line)
-    if not c.done():
-        after, _ = c.rows[c.k]
-        raise ParseError("content after end", line=after)
+    c.after_end()
     return make_structure(name, profile, ids, add, neg, star, omega)
 
 
@@ -191,20 +189,22 @@ def parse_morphism(text: str, loader) -> Morphism:
     return Morphism(name, dom, cod, m)
 
 
-def _star_blocks(c: _Cursor, rows: int, width: int, idx) -> dict[str, tuple]:
+def _read_action(c: _Cursor, actor: Structure, acted: Structure):
+    """The dot table, then star blocks up to 'end', of actor acting on acted."""
+    idx = acted.index_map()
+    c.take("dot")
+    dot = _read_table(c, actor.n, acted.n, idx)
     star: dict[str, tuple] = {}
     while True:
         line, fields = c.next()
         if fields[0] == "end":
-            if not c.done():
-                after, _ = c.rows[c.k]
-                raise ParseError("content after end", line=after)
-            return star
+            c.after_end()
+            return dot, star
         if fields[0] != "table" or len(fields) != 2:
             raise ParseError(f"expected 'table' or 'end', found {fields[0]!r}", line=line)
         if fields[1] in star:
             raise ParseError(f"duplicate table {fields[1]!r}", line=line)
-        star[fields[1]] = _read_table(c, rows, width, idx)
+        star[fields[1]] = _read_table(c, actor.n, acted.n, idx)
 
 
 def parse_action(text: str, loader) -> DerivedAction:
@@ -212,10 +212,7 @@ def parse_action(text: str, loader) -> DerivedAction:
     name = _take_name(c, "action")
     actor = _take_ref(c, "actor", loader)
     acted = _take_ref(c, "acted", loader)
-    idx = acted.index_map()
-    c.take("dot")
-    dot = _read_table(c, actor.n, acted.n, idx)
-    star = _star_blocks(c, actor.n, acted.n, idx)
+    dot, star = _read_action(c, actor, acted)
     return make_action(name, actor, acted, dot, star)
 
 
@@ -227,10 +224,7 @@ def parse_xmod(text: str, loader) -> CrossedModule:
     line, fields = c.take("boundary")
     bmap = _ids_after(fields, 1, c1.n, c0.index_map(), line)
     c.take("action")
-    c.take("dot")
-    idx = c1.index_map()
-    dot = _read_table(c, c0.n, c1.n, idx)
-    star = _star_blocks(c, c0.n, c1.n, idx)
+    dot, star = _read_action(c, c0, c1)
     act = make_action(f"act_{name}", c0, c1, dot, star)
     return make_xmod(name, Morphism(f"bnd_{name}", c1, c0, bmap), act)
 
@@ -291,35 +285,30 @@ def load_structure(path) -> Structure:
     return parse_structure(_read_text(Path(path)))
 
 
-def _structure_loader(path: Path):
-    return lambda ref, line: load_structure(_resolve_ref(path, ref, line))
+def _load(parse, path, load_ref):
+    """Parse the file at path; load_ref reads the sibling files it references."""
+    p = Path(path)
+    return parse(_read_text(p), lambda ref, line: load_ref(_resolve_ref(p, ref, line)))
 
 
 def load_morphism(path) -> Morphism:
-    p = Path(path)
-    return parse_morphism(_read_text(p), _structure_loader(p))
+    return _load(parse_morphism, path, load_structure)
 
 
 def load_action(path) -> DerivedAction:
-    p = Path(path)
-    return parse_action(_read_text(p), _structure_loader(p))
+    return _load(parse_action, path, load_structure)
 
 
 def load_xmod(path) -> CrossedModule:
-    p = Path(path)
-    return parse_xmod(_read_text(p), _structure_loader(p))
+    return _load(parse_xmod, path, load_structure)
 
 
 def load_xmodmorphism(path) -> XModMorphism:
-    p = Path(path)
-    return parse_xmodmorphism(
-        _read_text(p), lambda ref, line: load_xmod(_resolve_ref(p, ref, line))
-    )
+    return _load(parse_xmodmorphism, path, load_xmod)
 
 
 def load_cat1(path) -> Cat1Object:
-    p = Path(path)
-    return parse_cat1(_read_text(p), _structure_loader(p))
+    return _load(parse_cat1, path, load_structure)
 
 
 _LOADERS = {
@@ -430,12 +419,10 @@ def serialize_xmodmorphism(m: XModMorphism) -> str:
     _check_token(m.name)
     out = [
         f"xmodmorphism {m.name}",
-        f"dom {m.dom.name}.mci",
-        f"cod {m.cod.name}.mci",
+        f"dom {_ref(m.dom)}",
+        f"cod {_ref(m.cod)}",
         "top",
     ]
-    _check_token(m.dom.name)
-    _check_token(m.cod.name)
     out += _map_lines(m.dom.c1, m.cod.c1, m.top.map)
     out.append("bottom")
     out += _map_lines(m.dom.c0, m.cod.c0, m.bottom.map)
@@ -486,22 +473,23 @@ def save_structure(s: Structure, path) -> None:
     Path(path).write_text(serialize_structure(s), encoding="utf-8")
 
 
-def save_morphism(m: Morphism, path) -> None:
+def _save(path, parts, serialize, obj) -> None:
+    """Write the structures obj references next to path, then obj's file."""
     p = Path(path)
-    _write_structures(p.parent, (m.dom, m.cod))
-    p.write_text(serialize_morphism(m), encoding="utf-8")
+    _write_structures(p.parent, parts)
+    p.write_text(serialize(obj), encoding="utf-8")
+
+
+def save_morphism(m: Morphism, path) -> None:
+    _save(path, (m.dom, m.cod), serialize_morphism, m)
 
 
 def save_action(act: DerivedAction, path) -> None:
-    p = Path(path)
-    _write_structures(p.parent, (act.actor, act.acted))
-    p.write_text(serialize_action(act), encoding="utf-8")
+    _save(path, (act.actor, act.acted), serialize_action, act)
 
 
 def save_xmod(xm: CrossedModule, path) -> None:
-    p = Path(path)
-    _write_structures(p.parent, (xm.c1, xm.c0))
-    p.write_text(serialize_xmod(xm), encoding="utf-8")
+    _save(path, (xm.c1, xm.c0), serialize_xmod, xm)
 
 
 def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
@@ -520,12 +508,9 @@ def save_xmodmorphism(m: XModMorphism, path) -> None:
         raise StructuralError(f"two different modules share the name {m.dom.name!r}")
     _write_structures(p.parent, (m.dom.c1, m.dom.c0, m.cod.c1, m.cod.c0))
     for xm in (m.dom, m.cod):
-        _check_token(xm.name)
         _write_named(p.parent / f"{xm.name}.mci", serialize_xmod(xm))
     p.write_text(serialize_xmodmorphism(m), encoding="utf-8")
 
 
 def save_cat1(c: Cat1Object, path) -> None:
-    p = Path(path)
-    _write_structures(p.parent, (c.big, c.base))
-    p.write_text(serialize_cat1(c), encoding="utf-8")
+    _save(path, (c.big, c.base), serialize_cat1, c)

@@ -13,6 +13,7 @@ isomorphism search.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .actions import restrict_action
@@ -33,6 +34,7 @@ from .structures import Morphism, _Restriction, restricted_product
 from .xmod import (
     CrossedModule,
     XModMorphism,
+    compose_xmod_morphisms,
     enumerate_xmod_morphisms,
     inclusion_xmod,
     make_xmod,
@@ -111,24 +113,18 @@ def xmod_pullback_mediators(
 def pullback_xmod_morphism(
     h: XModMorphism, phi: Morphism, name: Optional[str] = None
 ) -> XModMorphism:
-    """Apply the base-change functor to a morphism over a fixed base."""
+    """Apply the base-change functor to a morphism over a fixed base.
+
+    The result is the fill-in of h after the domain's projection.
+    """
     idm = tuple(range(h.dom.c0.n))
     if h.bottom.map != idm or not same_structure(h.dom.c0, h.cod.c0):
         raise StructuralError(f"pullback of {h.name}: base map must be the identity")
     pd, prd = pullback_xmod(h.dom, phi)
     pc, prc = pullback_xmod(h.cod, phi)
     name = name or f"pb_{h.name}"
-    fiber = _Restriction(pc.c1.name, (h.cod.c1, pc.c0), list(zip(prc.top.map, pc.boundary.map)))
-    tops = fiber.image(
-        [[h.top.map[v] for v in prd.top.map], pd.boundary.map], f"top_{name}", pd.c1.elements
-    )
-    return XModMorphism(
-        name,
-        pd,
-        pc,
-        Morphism(f"top_{name}", pd.c1, pc.c1, tops),
-        Morphism(f"id_{pd.c0.name}", pd.c0, pc.c0, tuple(range(pd.c0.n))),
-    )
+    med = xmod_pullback_mediator(pc, prc, compose_xmod_morphisms(h, prd))
+    return replace(med, name=name, top=replace(med.top, name=f"top_{name}"))
 
 
 def preimage_xmod(

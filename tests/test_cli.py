@@ -7,13 +7,21 @@ only under -o; malformed input and size-guard trips exit 2 with an
 ERROR line on stderr.
 """
 
+import argparse
 import subprocess
 import sys
+from pathlib import Path
 
-from xmodkit.actions import conjugation_action, make_action
-from xmodkit.cli import main
+import pytest
+
+from xmodkit.actions import check_derived_action, conjugation_action, make_action
+from xmodkit.cat1 import make_cat1, verify_cat1
+from xmodkit.cli import _build_parser, main
 from xmodkit.io import (
+    load_action,
     load_cat1,
+    load_morphism,
+    load_structure,
     load_xmod,
     load_xmodmorphism,
     parse_structure,
@@ -25,9 +33,15 @@ from xmodkit.io import (
     save_xmodmorphism,
     serialize_structure,
 )
-from xmodkit.morphisms import identity_morphism
-from xmodkit.structures import Morphism, subobject
-from xmodkit.xmod import XModMorphism, find_xmod_isomorphism
+from xmodkit.morphisms import identity_morphism, morphism_report
+from xmodkit.structures import Morphism, subobject, verify_structure
+from xmodkit.xmod import (
+    XModMorphism,
+    find_xmod_isomorphism,
+    make_xmod,
+    verify_xmod,
+    verify_xmod_morphism,
+)
 from xmodkit.zoo import (
     make_cyclic,
     make_standard_cat1s,
@@ -568,3 +582,112 @@ def test_module_invocation(tmp_path):
     )
     assert result.returncode == 0
     assert "RESULT PASS structure z2" in result.stdout
+
+
+def write_gate_inputs(dirpath):
+    """A failing input of every kind a construction reads, and passing partners."""
+    zoo = make_standard_xmods()
+    xm = zoo["xm_z2_z4"]
+    z2, z4 = xm.c1, xm.c0
+    bad3 = serialize_structure(make_cyclic(3, name="bad3")).replace("\n1 2 0\n", "\n1 1 0\n")
+    (dirpath / "bad3.mci").write_text(bad3, encoding="utf-8")
+    save_structure(z2, dirpath / "z2.mci")
+    write_double(dirpath)
+    save_morphism(Morphism("skew", z2, z4, (0, 1)), dirpath / "skew.mci")
+    save_action(
+        make_action("notact", z2, make_cyclic(3), ((0, 1, 2), (1, 0, 2)), {}),
+        dirpath / "notact.mci",
+    )
+    save_xmod(xm, dirpath / "xm.mci")
+    save_xmod(make_xmod("badx", Morphism("b", z2, z4, (0, 1)), xm.action), dirpath / "badx.mci")
+    save_xmodmorphism(
+        XModMorphism("collapse", xm, zoo["xm_terminal_z4"], xm.boundary, identity_morphism(z4)),
+        dirpath / "collapse.mci",
+    )
+    save_xmodmorphism(
+        XModMorphism("badm", xm, xm, identity_morphism(z2), Morphism("zero", z4, z4, (0,) * 4)),
+        dirpath / "badm.mci",
+    )
+    c = make_standard_cat1s()["xm_z2_z4"]
+    save_cat1(
+        make_cat1("badc", c.embed, c.src, Morphism("t", c.big, c.base, (0,) * c.big.n)),
+        dirpath / "badc.mci",
+    )
+
+
+# command line, the input whose report it prints, and that input's loader
+# and verifier; both inputs of pullback-xmod fail, and its --xmod is
+# gated first although --along comes first on the line
+GATE_CASES = [
+    ("semidirect notact.mci", "notact.mci", load_action, check_derived_action),
+    ("to-cat1 badx.mci", "badx.mci", load_xmod, verify_xmod),
+    ("to-xmod badc.mci", "badc.mci", load_cat1, verify_cat1),
+    ("limit product z2.mci bad3.mci", "bad3.mci", load_structure, verify_structure),
+    ("limit pullback double.mci skew.mci", "skew.mci", load_morphism, morphism_report),
+    ("limit equalizer skew.mci double.mci", "skew.mci", load_morphism, morphism_report),
+    ("limit slice-terminal bad3.mci", "bad3.mci", load_structure, verify_structure),
+    ("limit slice-initial bad3.mci", "bad3.mci", load_structure, verify_structure),
+    ("limit slice-product xm.mci badx.mci", "badx.mci", load_xmod, verify_xmod),
+    (
+        "limit slice-pullback badm.mci collapse.mci",
+        "badm.mci",
+        load_xmodmorphism,
+        verify_xmod_morphism,
+    ),
+    (
+        "limit slice-equalizer collapse.mci badm.mci",
+        "badm.mci",
+        load_xmodmorphism,
+        verify_xmod_morphism,
+    ),
+    ("pullback-xmod --along skew.mci --xmod badx.mci", "badx.mci", load_xmod, verify_xmod),
+    ("pullback-cat1 --cat1 badc.mci --along double.mci", "badc.mci", load_cat1, verify_cat1),
+]
+
+
+@pytest.mark.parametrize(
+    "line,failing,load,verify", GATE_CASES, ids=[case[0] for case in GATE_CASES]
+)
+def test_construction_gates_print_first_failing_report(
+    tmp_path, capsys, line, failing, load, verify
+):
+    write_gate_inputs(tmp_path)
+    (tmp_path / "out").mkdir()
+    argv = [str(tmp_path / w) if w.endswith(".mci") else w for w in line.split()]
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out" / "built.mci"))
+    assert (code, err) == (1, "")
+    assert out == verify(load(tmp_path / failing)).render() + "\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind,arity,files", [
+    ("slice-terminal", 1, ["nosuch1.mci", "nosuch2.mci"]),
+    ("product", 2, ["nosuch1.mci"]),
+    ("slice-equalizer", 2, ["nosuch1.mci", "nosuch2.mci", "nosuch3.mci"]),
+])
+def test_limit_arity_error_before_any_read(tmp_path, capsys, kind, arity, files):
+    code, out, err = run(capsys, "limit", kind, *(str(tmp_path / f) for f in files))
+    assert (code, out) == (2, "")
+    assert err == f"ERROR limit {kind} takes {arity} file(s), got {len(files)}\n"
+
+
+def test_construction_refuses_to_overwrite_differing_companion(tmp_path, capsys):
+    xm_path = write_zoo_xmod(tmp_path, "xm_z2_z4")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "z4.mci").write_text("structure z4\n# not this one\n", encoding="utf-8")
+    code, _, err = run(capsys, "to-cat1", str(xm_path), "-o", str(tmp_path / "out" / "up.mci"))
+    assert code == 2
+    assert err == "ERROR refusing to overwrite z4.mci: existing file differs\n"
+
+
+def test_golden_commands_cover_every_subcommand_and_kind():
+    commands = Path(__file__).resolve().parent.parent / "golden" / "commands.txt"
+    lines = [
+        ln.split() for ln in commands.read_text(encoding="utf-8").splitlines()
+        if ln.strip() and not ln.startswith("#")
+    ]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {words[0] for words in lines} == set(sub.choices)
+    for command in ("limit", "check-universal"):
+        kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
+        assert {words[1] for words in lines if words[0] == command} == set(kind.choices)

@@ -6,7 +6,7 @@ byte-identical so command output stays reproducible.
 
 import pytest
 
-from xmodkit.actions import conjugation_action
+from xmodkit.actions import conjugation_action, trivial_action
 from xmodkit.errors import ParseError, StructuralError
 from xmodkit.io import (
     load_action,
@@ -320,3 +320,39 @@ def test_save_rejects_colliding_names(tmp_path):
     clash = Morphism("clash", a, z3, (0, 0))
     with pytest.raises(StructuralError):
         save_morphism(clash, tmp_path / "m2.mci")
+
+
+def test_content_after_end_names_its_line(tmp_path):
+    with pytest.raises(ParseError) as e:
+        parse_structure(Z2_TEXT + "\n# trailing\nneg 0 1\n")
+    assert str(e.value) == "content after end (line 11)"
+
+    f2x = make_truncated_poly(2)
+    act = conjugation_action(f2x, subobject(f2x, (0, 2)), name="conj_ideal")
+    save_action(act, tmp_path / "a.mci")
+    (tmp_path / "a.mci").write_text(ACTION_TEXT + "end\n", encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        load_action(tmp_path / "a.mci")
+    assert str(e.value) == "content after end (line 15)"
+
+    save_morphism(Morphism("double", make_cyclic(2), make_cyclic(4), (0, 2)), tmp_path / "m.mci")
+    (tmp_path / "m.mci").write_text(MORPHISM_TEXT + "map\n", encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        load_morphism(tmp_path / "m.mci")
+    assert str(e.value) == "content after end (line 8)"
+
+
+def test_save_rejects_different_objects_sharing_a_name(tmp_path):
+    z2, z4 = make_cyclic(2, name="z"), make_cyclic(4, name="z")
+    xm = make_xmod("clash", Morphism("b", z2, z4, (0, 2)), trivial_action(z4, z2))
+    with pytest.raises(StructuralError) as e:
+        save_xmod(xm, tmp_path / "x.mci")
+    assert e.value.message == "two different structures share the name 'z'"
+
+    zoo = make_standard_xmods()
+    a, b = zoo["xm_z2_z4"], zoo["xm_terminal_z4"]
+    twin = make_xmod(a.name, b.boundary, b.action)
+    m = XModMorphism("m", a, twin, a.boundary, identity_morphism(a.c0))
+    with pytest.raises(StructuralError) as e:
+        save_xmodmorphism(m, tmp_path / "m.mci")
+    assert e.value.message == "two different modules share the name 'xm_z2_z4'"
