@@ -12,10 +12,12 @@ Two families of subcommands share fixed conventions:
 Two tables drive them. The kind table (``_kind``) maps each object type
 to its verifier, serializer and saver. The construction table
 (``_constructions``) maps each construction command, and each ``limit``
-kind, to its input loaders and its build. One runner, ``_construct``,
-does load -> gate -> build -> emit for every row; ``verify`` and the
-``check-*`` commands take their verifier from the kind table.
-``check-universal`` and ``square-check`` have their own bodies.
+kind, to the file kinds of its inputs and its build. One runner,
+``_construct``, does load -> gate -> build -> emit for every row;
+``verify`` and the ``check-*`` commands take their verifier from the kind
+table. ``check-universal`` and ``square-check`` have their own bodies.
+Every command loads its files through one ``io.load`` memo, so each file
+is read once and every reference to it is one object.
 
 Unreadable or malformed files, size-guard trips, and other structural
 problems print an ERROR line to stderr and exit 2.
@@ -32,13 +34,7 @@ from .actions import DerivedAction, check_derived_action, semidirect_product
 from .cat1 import Cat1Object, cat1_to_xmod, verify_cat1, xmod_to_cat1
 from .errors import IncompatibleActionError, XmodkitError
 from .io import (
-    load_action,
-    load_any,
-    load_cat1,
-    load_morphism,
-    load_structure,
-    load_xmod,
-    load_xmodmorphism,
+    load,
     save_action,
     save_cat1,
     save_morphism,
@@ -108,34 +104,34 @@ def _with_legs(make: Callable, *suffixes: str) -> Callable:
 
 
 def _constructions() -> dict:
-    """The construction table: command line words -> (loaders, build).
+    """The construction table: command line words -> (input kinds, build).
 
-    The loaders read the inputs in argument order; the build returns the
-    object and its (suffix, leg) pairs.
+    The inputs load as the named file kinds, in argument order; the build
+    returns the object and its (suffix, leg) pairs.
     """
     return {
-        "semidirect": ((load_action,), _with_legs(semidirect_product)),
-        "to-cat1": ((load_xmod,), lambda xm: (xmod_to_cat1(xm), ())),
-        "to-xmod": ((load_cat1,), lambda c: (cat1_to_xmod(c), ())),
-        "limit product": ((load_structure, load_structure), _with_legs(direct_product)),
-        "limit pullback": ((load_morphism, load_morphism), _with_legs(fiber_product)),
+        "semidirect": (("action",), _with_legs(semidirect_product)),
+        "to-cat1": (("xmod",), lambda xm: (xmod_to_cat1(xm), ())),
+        "to-xmod": (("cat1",), lambda c: (cat1_to_xmod(c), ())),
+        "limit product": (("structure", "structure"), _with_legs(direct_product)),
+        "limit pullback": (("morphism", "morphism"), _with_legs(fiber_product)),
         "limit equalizer": (
-            (load_morphism, load_morphism),
+            ("morphism", "morphism"),
             lambda f, g: (equalizer(f, g).induced, ()),
         ),
-        "limit slice-terminal": ((load_structure,), lambda x: (slice_terminal(x), ())),
-        "limit slice-initial": ((load_structure,), lambda x: (slice_initial(x), ())),
-        "limit slice-product": ((load_xmod, load_xmod), _with_legs(slice_product, "fst", "snd")),
+        "limit slice-terminal": (("structure",), lambda x: (slice_terminal(x), ())),
+        "limit slice-initial": (("structure",), lambda x: (slice_initial(x), ())),
+        "limit slice-product": (("xmod", "xmod"), _with_legs(slice_product, "fst", "snd")),
         "limit slice-pullback": (
-            (load_xmodmorphism, load_xmodmorphism),
+            ("xmodmorphism", "xmodmorphism"),
             _with_legs(slice_pullback, "fst", "snd"),
         ),
         "limit slice-equalizer": (
-            (load_xmodmorphism, load_xmodmorphism),
+            ("xmodmorphism", "xmodmorphism"),
             _with_legs(xmod_equalizer, "incl"),
         ),
-        "pullback-xmod": ((load_xmod, load_morphism), _with_legs(pullback_xmod, "proj")),
-        "pullback-cat1": ((load_cat1, load_morphism), _with_legs(pullback_cat1)),
+        "pullback-xmod": (("xmod", "morphism"), _with_legs(pullback_xmod, "proj")),
+        "pullback-cat1": (("cat1", "morphism"), _with_legs(pullback_cat1)),
     }
 
 
@@ -145,7 +141,7 @@ def _finish(report: Report) -> int:
 
 
 def _check(args) -> int:
-    obj = args.load(args.file)
+    obj = load(args.file, args.file_kind)[1]
     return _finish(_kind(obj).verify(obj))
 
 
@@ -159,10 +155,11 @@ def _construct(args) -> int:
         key, paths = f"limit {args.kind}", args.files
     else:
         key, paths = args.command, [getattr(args, dest) for dest in args.inputs]
-    loaders, build = _constructions()[key]
-    if len(paths) != len(loaders):  # only limit takes a variable file count
-        raise XmodkitError(f"{key} takes {len(loaders)} file(s), got {len(paths)}")
-    inputs = [load(path) for load, path in zip(loaders, paths)]
+    kinds, build = _constructions()[key]
+    if len(paths) != len(kinds):  # only limit takes a variable file count
+        raise XmodkitError(f"{key} takes {len(kinds)} file(s), got {len(paths)}")
+    loaded: dict = {}
+    inputs = [load(path, kind, loaded)[1] for kind, path in zip(kinds, paths)]
     for x in inputs:
         report = _kind(x).verify(x)
         if not report.ok:
@@ -179,14 +176,15 @@ def _construct(args) -> int:
 
 
 def _cmd_check_universal(args) -> int:
-    candidate = load_xmod(args.candidate)
-    legs = tuple(load_xmodmorphism(f) for f in args.legs)
-    testers = tuple(load_xmod(f) for f in args.testers)
-    parallel = (
-        tuple(load_xmodmorphism(f) for f in args.parallel)
-        if args.parallel
-        else None
-    )
+    loaded: dict = {}
+
+    def each(kind: str, paths) -> tuple:
+        return tuple(load(path, kind, loaded)[1] for path in paths)
+
+    candidate = load(args.candidate, "xmod", loaded)[1]
+    legs = each("xmodmorphism", args.legs)
+    testers = each("xmod", args.testers)
+    parallel = each("xmodmorphism", args.parallel) if args.parallel else None
     return _finish(
         verify_universal_cone(
             args.kind, candidate, legs, testers, parallel, max_size=args.max_size
@@ -195,8 +193,9 @@ def _cmd_check_universal(args) -> int:
 
 
 def _cmd_square_check(args) -> int:
-    x = load_xmod(args.xmod)
-    phi = load_morphism(args.along)
+    loaded: dict = {}
+    x = load(args.xmod, "xmod", loaded)[1]
+    phi = load(args.along, "morphism", loaded)[1]
     return _finish(square_commutes(x, phi, max_size=args.max_size))
 
 
@@ -219,10 +218,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def check(name: str, load: Callable, help_text: str):
+    def check(name: str, kind: str | None, help_text: str):
+        """A check of one file; kind None takes it from the file's first keyword."""
         p = add(name, _check, help_text)
         p.add_argument("file")
-        p.set_defaults(load=load)
+        p.set_defaults(file_kind=kind)
 
     def construct(name: str, help_text: str, *inputs: str):
         """A construction command: its inputs in argument order, then -o."""
@@ -235,10 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--out")
         p.set_defaults(inputs=[arg.lstrip("-") for arg in inputs])
 
-    check("verify", lambda path: load_any(path)[1], "verify any .mci file according to its kind")
-    check("check-action", load_action, "check the derived action conditions")
-    check("check-xmod", load_xmod, "check the crossed module laws")
-    check("check-cat1", load_cat1, "check the split object laws")
+    check("verify", None, "verify any .mci file according to its kind")
+    check("check-action", "action", "check the derived action conditions")
+    check("check-xmod", "xmod", "check the crossed module laws")
+    check("check-cat1", "cat1", "check the split object laws")
 
     construct("semidirect", "build the semidirect product of an action", "file")
     construct("to-cat1", "translate a crossed module to a split object", "file")

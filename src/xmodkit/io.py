@@ -6,6 +6,10 @@ Values are element ids, never indices, and compound objects reference
 their parts as sibling files (``dom z2.mci``). Blank lines and lines
 starting with ``#`` are skipped outside counted table rows.
 
+All reads go through ``_read_text`` (non-UTF-8 input is an error) and
+all loads through ``load``, whose memo lets a command read each file
+once and share one object between every reference to it.
+
 Serialization is canonical: single spaces, tables in carrier order, one
 trailing newline, only primary star tables for structures (opposites are
 transposed on load) but all star tables for actions, where the two
@@ -27,25 +31,26 @@ from .structures import Morphism, Structure, make_structure
 from .xmod import CrossedModule, XModMorphism, make_xmod
 
 
+def _rows(text: str):
+    """(line number, fields) of each meaningful line, skipping blanks and comments."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield i, fields
+
+
 class _Cursor:
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self.rows.append((i, stripped.split()))
+        self.rows: list[tuple[int, list[str]]] = list(_rows(text))
         self.k = 0
 
     def done(self) -> bool:
         return self.k >= len(self.rows)
 
-    def last_line(self) -> int:
-        return self.rows[-1][0] if self.rows else 1
-
     def next(self) -> tuple[int, list[str]]:
         if self.done():
-            raise ParseError("unexpected end of file", line=self.last_line())
+            last = self.rows[-1][0] if self.rows else 1
+            raise ParseError("unexpected end of file", line=last)
         out = self.rows[self.k]
         self.k += 1
         return out
@@ -96,11 +101,9 @@ def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], li
 def parse_structure(text: str) -> Structure:
     c = _Cursor(text)
     name = _take_name(c, "structure")
-    line, fields = c.take("profile")
-    if len(fields) != 2:
-        raise ParseError("'profile' line needs exactly one name", line=line)
+    line, profile_name = _take_one(c, "profile")
     try:
-        profile = get_profile(fields[1])
+        profile = get_profile(profile_name)
     except StructuralError as e:
         raise ParseError(e.message, line=line)
     line, fields = c.take("elements")
@@ -150,18 +153,21 @@ def parse_structure(text: str) -> Structure:
     return make_structure(name, profile, ids, add, neg, star, omega)
 
 
-def _take_name(c: _Cursor, kind: str) -> str:
-    line, fields = c.take(kind)
+def _take_one(c: _Cursor, key: str, what: str = "name") -> tuple[int, str]:
+    """The line number and single value of the next row, keyed key."""
+    line, fields = c.take(key)
     if len(fields) != 2:
-        raise ParseError(f"{kind!r} line needs exactly one name", line=line)
-    return fields[1]
+        raise ParseError(f"{key!r} line needs exactly one {what}", line=line)
+    return line, fields[1]
+
+
+def _take_name(c: _Cursor, kind: str) -> str:
+    return _take_one(c, kind)[1]
 
 
 def _take_ref(c: _Cursor, key: str, loader: Callable[[str, int], object]):
-    line, fields = c.take(key)
-    if len(fields) != 2:
-        raise ParseError(f"{key!r} line needs exactly one file name", line=line)
-    return loader(fields[1], line)
+    line, ref = _take_one(c, key, "file name")
+    return loader(ref, line)
 
 
 def _read_map(c: _Cursor, dom_ids, cod_idx: dict[str, int]) -> tuple[int, ...]:
@@ -269,69 +275,84 @@ def parse_cat1(text: str, loader) -> Cat1Object:
 
 
 def _read_text(path: Path) -> str:
+    """The one reader of every file: unreadable or non-UTF-8 input is an error."""
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise StructuralError(f"cannot read {path}: {e}")
 
 
-def _resolve_ref(base: Path, ref: str, line: int) -> Path:
-    if "/" in ref or "\\" in ref or ref.startswith("."):
-        raise ParseError(f"reference {ref!r} must be a sibling file name", line=line)
-    return base.parent / ref
-
-
-def load_structure(path) -> Structure:
-    return parse_structure(_read_text(Path(path)))
-
-
-def _load(parse, path, load_ref):
-    """Parse the file at path; load_ref reads the sibling files it references."""
-    p = Path(path)
-    return parse(_read_text(p), lambda ref, line: load_ref(_resolve_ref(p, ref, line)))
-
-
-def load_morphism(path) -> Morphism:
-    return _load(parse_morphism, path, load_structure)
-
-
-def load_action(path) -> DerivedAction:
-    return _load(parse_action, path, load_structure)
-
-
-def load_xmod(path) -> CrossedModule:
-    return _load(parse_xmod, path, load_structure)
-
-
-def load_xmodmorphism(path) -> XModMorphism:
-    return _load(parse_xmodmorphism, path, load_xmod)
-
-
-def load_cat1(path) -> Cat1Object:
-    return _load(parse_cat1, path, load_structure)
-
-
-_LOADERS = {
-    "structure": load_structure,
-    "morphism": load_morphism,
-    "action": load_action,
-    "xmod": load_xmod,
-    "xmodmorphism": load_xmodmorphism,
-    "cat1": load_cat1,
+_PARSERS = {
+    "structure": parse_structure,
+    "morphism": parse_morphism,
+    "action": parse_action,
+    "xmod": parse_xmod,
+    "xmodmorphism": parse_xmodmorphism,
+    "cat1": parse_cat1,
 }
+
+
+def load(path, kind=None, loaded=None):
+    """Read and parse the file at path; returns (kind, object).
+
+    With kind None the file's first keyword names its kind. loaded
+    memoises by (resolved path, kind), and the sibling files a file
+    references load through the same dict, so within one dict each file
+    is read and parsed once and every reference to it is one object.
+    """
+    p = Path(path)
+    loaded = {} if loaded is None else loaded
+    key = (p.resolve(), kind)
+    if key in loaded:
+        return loaded[key]
+    text = _read_text(p)
+    if kind is None:
+        first = next(_rows(text), None)
+        if first is None:
+            raise ParseError("empty file", line=1)
+        line, (kind, *_) = first
+        if kind not in _PARSERS:
+            raise ParseError(f"unknown file kind {kind!r}", line=line)
+    # an xmodmorphism references crossed modules, every other kind structures
+    ref_kind = "xmod" if kind == "xmodmorphism" else "structure"
+
+    def sibling(ref: str, line: int):
+        if "/" in ref or "\\" in ref or ref.startswith("."):
+            raise ParseError(f"reference {ref!r} must be a sibling file name", line=line)
+        return load(p.parent / ref, ref_kind, loaded)[1]
+
+    obj = parse_structure(text) if kind == "structure" else _PARSERS[kind](text, sibling)
+    loaded[key] = kind, obj
+    return kind, obj
 
 
 def load_any(path):
     """Dispatch on the first keyword; returns (kind, object)."""
-    p = Path(path)
-    c = _Cursor(_read_text(p))
-    if c.done():
-        raise ParseError("empty file", line=1)
-    line, fields = c.rows[0]
-    kind = fields[0]
-    if kind not in _LOADERS:
-        raise ParseError(f"unknown file kind {kind!r}", line=line)
-    return kind, _LOADERS[kind](p)
+    return load(path)
+
+
+def load_structure(path) -> Structure:
+    return load(path, "structure")[1]
+
+
+def load_morphism(path) -> Morphism:
+    return load(path, "morphism")[1]
+
+
+def load_action(path) -> DerivedAction:
+    return load(path, "action")[1]
+
+
+def load_xmod(path) -> CrossedModule:
+    return load(path, "xmod")[1]
+
+
+def load_xmodmorphism(path) -> XModMorphism:
+    return load(path, "xmodmorphism")[1]
+
+
+def load_cat1(path) -> Cat1Object:
+    return load(path, "cat1")[1]
 
 
 def _check_token(name: str) -> None:
@@ -345,8 +366,23 @@ def _ref(s) -> str:
     return f"{s.name}.mci"
 
 
+def _ids(s: Structure, row) -> str:
+    return " ".join(s.elements[v] for v in row)
+
+
 def _table_lines(s: Structure, table) -> list[str]:
-    return [" ".join(s.elements[v] for v in row) for row in table]
+    return [_ids(s, row) for row in table]
+
+
+def _head(kind: str, obj, **refs) -> list[str]:
+    """The name row, then one row per sibling file obj references."""
+    _check_token(obj.name)
+    return [f"{kind} {obj.name}"] + [f"{key} {_ref(part)}" for key, part in refs.items()]
+
+
+def _text(out: list[str]) -> str:
+    """The file text of out's lines, closed by the 'end' row."""
+    return "\n".join(out + ["end"]) + "\n"
 
 
 def serialize_structure(s: Structure) -> str:
@@ -358,14 +394,12 @@ def serialize_structure(s: Structure) -> str:
         "add",
     ]
     out += _table_lines(s, s.add)
-    out.append("neg " + " ".join(s.elements[v] for v in s.neg))
+    out.append("neg " + _ids(s, s.neg))
     for sym in s.profile.primary_binary_symbols():
-        out.append(f"table {sym}")
-        out += _table_lines(s, s.star[sym])
+        out += [f"table {sym}"] + _table_lines(s, s.star[sym])
     for sym in s.profile.unary_symbols():
-        out.append(f"unary {sym} " + " ".join(s.elements[v] for v in s.omega[sym]))
-    out.append("end")
-    return "\n".join(out) + "\n"
+        out.append(f"unary {sym} " + _ids(s, s.omega[sym]))
+    return _text(out)
 
 
 def _map_lines(dom: Structure, cod: Structure, m) -> list[str]:
@@ -373,86 +407,51 @@ def _map_lines(dom: Structure, cod: Structure, m) -> list[str]:
 
 
 def serialize_morphism(m: Morphism) -> str:
-    _check_token(m.name)
-    out = [f"morphism {m.name}", f"dom {_ref(m.dom)}", f"cod {_ref(m.cod)}", "map"]
-    out += _map_lines(m.dom, m.cod, m.map)
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out = _head("morphism", m, dom=m.dom, cod=m.cod) + ["map"]
+    return _text(out + _map_lines(m.dom, m.cod, m.map))
 
 
 def _action_tables(acted: Structure, act: DerivedAction) -> list[str]:
-    out = ["dot"]
-    out += [" ".join(acted.elements[v] for v in row) for row in act.dot]
+    out = ["dot"] + _table_lines(acted, act.dot)
     for sym in act.actor.profile.binary_symbols():
-        out.append(f"table {sym}")
-        out += [" ".join(acted.elements[v] for v in row) for row in act.star_act[sym]]
+        out += [f"table {sym}"] + _table_lines(acted, act.star_act[sym])
     return out
 
 
 def serialize_action(act: DerivedAction) -> str:
-    _check_token(act.name)
-    out = [
-        f"action {act.name}",
-        f"actor {_ref(act.actor)}",
-        f"acted {_ref(act.acted)}",
-    ]
-    out += _action_tables(act.acted, act)
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out = _head("action", act, actor=act.actor, acted=act.acted)
+    return _text(out + _action_tables(act.acted, act))
 
 
 def serialize_xmod(xm: CrossedModule) -> str:
-    _check_token(xm.name)
-    out = [
-        f"xmod {xm.name}",
-        f"c1 {_ref(xm.c1)}",
-        f"c0 {_ref(xm.c0)}",
-        "boundary " + " ".join(xm.c0.elements[v] for v in xm.boundary.map),
-        "action",
-    ]
-    out += _action_tables(xm.c1, xm.action)
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out = _head("xmod", xm, c1=xm.c1, c0=xm.c0)
+    out += ["boundary " + _ids(xm.c0, xm.boundary.map), "action"]
+    return _text(out + _action_tables(xm.c1, xm.action))
 
 
 def serialize_xmodmorphism(m: XModMorphism) -> str:
-    _check_token(m.name)
-    out = [
-        f"xmodmorphism {m.name}",
-        f"dom {_ref(m.dom)}",
-        f"cod {_ref(m.cod)}",
-        "top",
-    ]
+    out = _head("xmodmorphism", m, dom=m.dom, cod=m.cod) + ["top"]
     out += _map_lines(m.dom.c1, m.cod.c1, m.top.map)
     out.append("bottom")
     out += _map_lines(m.dom.c0, m.cod.c0, m.bottom.map)
-    out.append("end")
-    return "\n".join(out) + "\n"
+    return _text(out)
 
 
 def serialize_cat1(c: Cat1Object) -> str:
-    _check_token(c.name)
-    out = [
-        f"cat1 {c.name}",
-        f"big {_ref(c.big)}",
-        f"base {_ref(c.base)}",
-        "embed " + " ".join(c.big.elements[v] for v in c.embed.map),
-        "src " + " ".join(c.base.elements[v] for v in c.src.map),
-        "tgt " + " ".join(c.base.elements[v] for v in c.tgt.map),
-        "end",
-    ]
-    return "\n".join(out) + "\n"
+    return _text([
+        *_head("cat1", c, big=c.big, base=c.base),
+        "embed " + _ids(c.big, c.embed.map),
+        "src " + _ids(c.base, c.src.map),
+        "tgt " + _ids(c.base, c.tgt.map),
+    ])
 
 
 def _write_named(path: Path, text: str) -> None:
     """Write a companion file, refusing to clobber different content."""
-    if path.exists():
-        if path.read_text(encoding="utf-8") != text:
-            raise StructuralError(
-                f"refusing to overwrite {path.name}: existing file differs"
-            )
-        return
-    path.write_text(text, encoding="utf-8")
+    if not path.exists():
+        path.write_text(text, encoding="utf-8")
+    elif _read_text(path) != text:
+        raise StructuralError(f"refusing to overwrite {path.name}: existing file differs")
 
 
 def _write_structures(dirpath: Path, structs) -> None:

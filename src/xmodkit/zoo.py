@@ -59,125 +59,73 @@ def _coeff_id(coeffs, letters) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def make_truncated_poly(p: int, k: int = 2, name: Optional[str] = None) -> Structure:
-    """F_p[x] mod x^k; element i has coefficients (i mod p, i//p mod p, ...)."""
-    profile = get_profile(f"comm-algebra-f{p}")
-    if k < 1:
-        raise StructuralError(f"truncated polynomials need k >= 1, got {k}")
-    n = p**k
-    elems = [tuple((i // p**j) % p for j in range(k)) for i in range(n)]
+def _fp_algebra(p: int, k: int, profile: str, letters, products: dict, name: str) -> Structure:
+    """F_p^k with coordinatewise add, neg and scalars s0..s(p-1).
+
+    Element i has coefficients (i mod p, i//p mod p, ...), named by
+    letters. products maps each star symbol to a function of two
+    coefficient tuples that returns their product, already reduced mod p.
+    """
+    prof = get_profile(profile)
+    elems = [tuple((i // p**j) % p for j in range(k)) for i in range(p**k)]
     idx = {e: i for i, e in enumerate(elems)}
-    letters = [""] + ["x"] + [f"x{j}" for j in range(2, k)]
     ids = tuple(_coeff_id(e, letters) for e in elems)
     add = tuple(
-        tuple(idx[tuple((a + b) % p for a, b in zip(u, v))] for v in elems)
-        for u in elems
+        tuple(idx[tuple([(a + b) % p for a, b in zip(u, v)])] for v in elems) for u in elems
     )
-    neg = tuple(idx[tuple((-a) % p for a in u)] for u in elems)
+    star = {
+        sym: tuple(tuple(idx[prod(u, v)] for v in elems) for u in elems)
+        for sym, prod in products.items()
+    }
+    omega = {
+        f"s{c}": tuple(idx[tuple([(c * a) % p for a in u])] for u in elems) for c in range(p)
+    }
+    # neg is the scalar p - 1
+    return make_structure(name, prof, ids, add, omega[f"s{p - 1}"], star, omega)
 
-    def prod(u, v):
+
+def make_truncated_poly(p: int, k: int = 2, name: Optional[str] = None) -> Structure:
+    """F_p[x] mod x^k."""
+    if k < 1:
+        raise StructuralError(f"truncated polynomials need k >= 1, got {k}")
+
+    def mul(u, v):
         out = [0] * k
         for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                if i + j < k:
-                    out[i + j] = (out[i + j] + a * b) % p
-        return tuple(out)
+            if a:
+                for j in range(k - i):
+                    out[i + j] += a * v[j]
+        return tuple([c % p for c in out])
 
-    mul = tuple(tuple(idx[prod(u, v)] for v in elems) for u in elems)
-    omega = {
-        f"s{c}": tuple(idx[tuple((c * a) % p for a in u)] for u in elems)
-        for c in range(p)
-    }
-    return make_structure(
+    letters = ["", "x"] + [f"x{j}" for j in range(2, k)]
+    return _fp_algebra(
+        p, k, f"comm-algebra-f{p}", letters, {"mul": mul},
         name or (f"f{p}x" if k == 2 else f"f{p}x{k}"),
-        profile,
-        ids,
-        add,
-        neg,
-        {"mul": mul},
-        omega,
     )
-
-
-def _pairs(p: int):
-    elems = [(i % p, i // p) for i in range(p * p)]
-    return elems, {e: i for i, e in enumerate(elems)}
 
 
 def make_lie2(p: int, name: Optional[str] = None) -> Structure:
     """Two-dimensional bracket algebra with [a, b] = a over F_p."""
-    profile = get_profile(f"lie-f{p}")
-    elems, idx = _pairs(p)
-    ids = tuple(_coeff_id(e, ["a", "b"]) for e in elems)
-    add = tuple(
-        tuple(idx[((c1 + d1) % p, (c2 + d2) % p)] for d1, d2 in elems)
-        for c1, c2 in elems
-    )
-    neg = tuple(idx[((-c1) % p, (-c2) % p)] for c1, c2 in elems)
-    bracket = tuple(
-        tuple(idx[((c1 * d2 - c2 * d1) % p, 0)] for d1, d2 in elems)
-        for c1, c2 in elems
-    )
-    omega = {
-        f"s{c}": tuple(idx[((c * c1) % p, (c * c2) % p)] for c1, c2 in elems)
-        for c in range(p)
-    }
-    return make_structure(
-        name or f"lie{p}", profile, ids, add, neg, {"bracket": bracket}, omega
-    )
+    bracket = lambda u, v: ((u[0] * v[1] - u[1] * v[0]) % p, 0)  # noqa: E731
+    return _fp_algebra(p, 2, f"lie-f{p}", ["a", "b"], {"bracket": bracket}, name or f"lie{p}")
 
 
 def make_leibniz2(p: int, name: Optional[str] = None) -> Structure:
     """Two-dimensional bracket algebra with [a, a] = b; not antisymmetric."""
-    profile = get_profile(f"leibniz-f{p}")
-    elems, idx = _pairs(p)
-    ids = tuple(_coeff_id(e, ["a", "b"]) for e in elems)
-    add = tuple(
-        tuple(idx[((c1 + d1) % p, (c2 + d2) % p)] for d1, d2 in elems)
-        for c1, c2 in elems
-    )
-    neg = tuple(idx[((-c1) % p, (-c2) % p)] for c1, c2 in elems)
-    bracket = tuple(
-        tuple(idx[(0, (c1 * d1) % p)] for d1, d2 in elems) for c1, c2 in elems
-    )
-    omega = {
-        f"s{c}": tuple(idx[((c * c1) % p, (c * c2) % p)] for c1, c2 in elems)
-        for c in range(p)
-    }
-    return make_structure(
-        name or f"leib{p}", profile, ids, add, neg, {"bracket": bracket}, omega
+    bracket = lambda u, v: (0, (u[0] * v[0]) % p)  # noqa: E731
+    return _fp_algebra(
+        p, 2, f"leibniz-f{p}", ["a", "b"], {"bracket": bracket}, name or f"leib{p}"
     )
 
 
 def make_dialgebra(p: int, name: Optional[str] = None) -> Structure:
     """Scalars extended by a square-zero strand d; the two products differ
     in which factor feeds the d coordinate."""
-    profile = get_profile(f"dialgebra-f{p}")
-    elems, idx = _pairs(p)
-    ids = tuple(_coeff_id(e, ["", "d"]) for e in elems)
-    add = tuple(
-        tuple(idx[((a + b) % p, (m + n) % p)] for b, n in elems) for a, m in elems
-    )
-    neg = tuple(idx[((-a) % p, (-m) % p)] for a, m in elems)
-    lprod = tuple(
-        tuple(idx[((a * b) % p, (m * b) % p)] for b, n in elems) for a, m in elems
-    )
-    rprod = tuple(
-        tuple(idx[((a * b) % p, (a * n) % p)] for b, n in elems) for a, m in elems
-    )
-    omega = {
-        f"s{c}": tuple(idx[((c * a) % p, (c * m) % p)] for a, m in elems)
-        for c in range(p)
+    products = {
+        "lprod": lambda u, v: ((u[0] * v[0]) % p, (u[1] * v[0]) % p),
+        "rprod": lambda u, v: ((u[0] * v[0]) % p, (u[0] * v[1]) % p),
     }
-    return make_structure(
-        name or f"dialg{p}",
-        profile,
-        ids,
-        add,
-        neg,
-        {"lprod": lprod, "rprod": rprod},
-        omega,
-    )
+    return _fp_algebra(p, 2, f"dialgebra-f{p}", ["", "d"], products, name or f"dialg{p}")
 
 
 def make_standard_xmods() -> dict[str, CrossedModule]:

@@ -8,14 +8,18 @@ ERROR line on stderr.
 """
 
 import argparse
+import shlex
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from xmodkit.actions import check_derived_action, conjugation_action, make_action
 from xmodkit.cat1 import make_cat1, verify_cat1
+from xmodkit import io
 from xmodkit.cli import _build_parser, main
 from xmodkit.io import (
     load_action,
@@ -691,3 +695,53 @@ def test_golden_commands_cover_every_subcommand_and_kind():
     for command in ("limit", "check-universal"):
         kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
         assert {words[1] for words in lines if words[0] == command} == set(kind.choices)
+
+
+def test_non_utf8_input_exits_two(tmp_path, capsys):
+    (tmp_path / "bad.mci").write_bytes(b"structure z2\n\xff\n")
+    code, out, err = run(capsys, "verify", str(tmp_path / "bad.mci"))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR cannot read ") and err.count("\n") == 1
+
+    # a companion that is not UTF-8 text blocks the save of an -o construction
+    xm_path = write_zoo_xmod(tmp_path, "xm_z2_z4")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "z4.mci").write_bytes(b"\xffstructure z4\n")
+    code, _, err = run(capsys, "to-cat1", str(xm_path), "-o", str(tmp_path / "out" / "up.mci"))
+    assert code == 2
+    assert err.startswith("ERROR cannot read ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "up.mci").exists()
+
+
+def test_golden_commands_read_each_loaded_file_once(tmp_path, monkeypatch, capsys):
+    """One io.load memo per command: every file it loads is read once."""
+    golden = Path(__file__).resolve().parent.parent / "golden"
+    for src in golden.glob("*.mci"):
+        shutil.copy(src, tmp_path / src.name)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    read_text, write_named = io._read_text, io._write_named
+    reads: list = []
+    saving: list = []
+
+    def counting_read(path):
+        if not saving:  # comparing a companion under -o is not a load
+            reads.append(Path(path).resolve())
+        return read_text(path)
+
+    def flagged_write(path, text):
+        saving.append(path)
+        try:
+            write_named(path, text)
+        finally:
+            saving.pop()
+
+    monkeypatch.setattr(io, "_read_text", counting_read)
+    monkeypatch.setattr(io, "_write_named", flagged_write)
+    lines = (golden / "commands.txt").read_text(encoding="utf-8").splitlines()
+    for line in (ln for ln in lines if ln.strip() and not ln.startswith("#")):
+        reads.clear()
+        assert main(shlex.split(line)) == 0, line
+        capsys.readouterr()
+        assert reads, line
+        assert max(Counter(reads).values()) == 1, line
