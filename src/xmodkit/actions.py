@@ -55,7 +55,7 @@ def make_action(
         raise StructuralError(f"action {name}: both carriers need an additive zero")
 
     def fix(table, what: str) -> Table2:
-        table = tuple(tuple(row) for row in table)
+        table = tuple([tuple(row) for row in table])
         if len(table) != actor.n:
             raise StructuralError(f"action {name}: {what} has {len(table)} rows, expected {actor.n}")
         for row in table:
@@ -83,8 +83,8 @@ def make_action(
 
 
 def trivial_action(actor: Structure, acted: Structure, name: str | None = None) -> DerivedAction:
-    dot = tuple(tuple(range(acted.n)) for _ in range(actor.n))
-    zrow = tuple((acted.zero,) * acted.n for _ in range(actor.n))
+    dot = tuple([tuple(range(acted.n)) for _ in range(actor.n)])
+    zrow = tuple([(acted.zero,) * acted.n for _ in range(actor.n)])
     star = {sym: zrow for sym in actor.profile.binary_symbols()}
     return make_action(name or f"triv_{actor.name}_{acted.name}", actor, acted, dot, star)
 
@@ -131,7 +131,7 @@ def conjugation_action(
 ) -> DerivedAction:
     """parent acting on itself (or on an ideal) by b+a-b and the own stars."""
     if sub is None:
-        dot = tuple(tuple(parent.conj(b, a) for a in range(parent.n)) for b in range(parent.n))
+        dot = tuple([tuple([parent.conj(b, a) for a in range(parent.n)]) for b in range(parent.n)])
         return make_action(
             name or f"conj_{parent.name}", parent, parent, dot, dict(parent.star)
         )
@@ -174,20 +174,20 @@ def _product_rows(act: DerivedAction, op: str, rows):
     pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
     if op == "add":
         for i1, j1 in map(pairs.__getitem__, rows):
-            yield tuple(a.add[i1][dot[j1][i2]] * bn + b.add[j1][j2] for i2, j2 in pairs)
+            yield tuple([a.add[i1][dot[j1][i2]] * bn + b.add[j1][j2] for i2, j2 in pairs])
         return
     aster, bster = a.star[op], b.star[op]
     mixed, mixed_op = act.star_act[op], act.star_act[b.profile.opposite_of(op)]
     for i1, j1 in map(pairs.__getitem__, rows):
-        yield tuple(
+        yield tuple([
             a.add[a.add[aster[i1][i2]][mixed_op[j2][i1]]][mixed[j1][i2]] * bn + bster[j1][j2]
             for i2, j2 in pairs
-        )
+        ])
 
 
 def _product_ids(act: DerivedAction) -> tuple[str, ...]:
     a, b = act.acted, act.actor
-    return tuple(f"({x},{y})" for x in a.elements for y in b.elements)
+    return tuple([f"({x},{y})" for x in a.elements for y in b.elements])
 
 
 def _product_tables(act: DerivedAction):
@@ -195,11 +195,14 @@ def _product_tables(act: DerivedAction):
     bn = b.n
     pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
     everything = range(len(pairs))
-    add = tuple(_product_rows(act, "add", everything))
-    neg = tuple(dot[b.neg[j]][a.neg[i]] * bn + b.neg[j] for i, j in pairs)
-    star = {sym: tuple(_product_rows(act, sym, everything)) for sym in b.profile.binary_symbols()}
+    add = tuple(list(_product_rows(act, "add", everything)))
+    neg = tuple([dot[b.neg[j]][a.neg[i]] * bn + b.neg[j] for i, j in pairs])
+    star = {
+        sym: tuple(list(_product_rows(act, sym, everything)))
+        for sym in b.profile.binary_symbols()
+    }
     omega = {
-        sym: tuple(a.omega[sym][i] * bn + b.omega[sym][j] for i, j in pairs)
+        sym: tuple([a.omega[sym][i] * bn + b.omega[sym][j] for i, j in pairs])
         for sym in b.profile.unary_symbols()
     }
     return _product_ids(act), add, neg, star, omega
@@ -213,9 +216,9 @@ def semidirect_product(
     ids, add, neg, star, omega = _product_tables(act)
     name = name or f"sdp_{a.name}_{b.name}"
     prod = make_structure(name, b.profile, ids, add, neg, star, omega)
-    inj = Morphism(f"inj_{name}", a, prod, tuple(ia * b.n + b.zero for ia in range(a.n)))
-    proj = Morphism(f"proj_{name}", prod, b, tuple(k % b.n for k in range(prod.n)))
-    sect = Morphism(f"sect_{name}", b, prod, tuple(a.zero * b.n + ib for ib in range(b.n)))
+    inj = Morphism(f"inj_{name}", a, prod, tuple([ia * b.n + b.zero for ia in range(a.n)]))
+    proj = Morphism(f"proj_{name}", prod, b, tuple([k % b.n for k in range(prod.n)]))
+    sect = Morphism(f"sect_{name}", b, prod, tuple([a.zero * b.n + ib for ib in range(b.n)]))
     return prod, inj, proj, sect
 
 
@@ -255,9 +258,9 @@ def check_derived_action(act: DerivedAction) -> Report:
     }
     ops = {
         **operations(a, "A."), **operations(b, "B."), "dot": act.dot,
-        "act": tuple(act.star_act[s] for s in syms),
-        "A*": tuple(a.star[s] for s in syms), "B*": tuple(b.star[s] for s in syms),
-        "A~": tuple(a.omega[u] for u in usyms), "B~": tuple(b.omega[u] for u in usyms),
+        "act": tuple([act.star_act[s] for s in syms]),
+        "A*": tuple([a.star[s] for s in syms]), "B*": tuple([b.star[s] for s in syms]),
+        "A~": tuple([a.omega[u] for u in usyms]), "B~": tuple([b.omega[u] for u in usyms]),
         "S-kind": kinds, "D-kind": [not k for k in kinds],
     }
     *laws, commute = law_table(_ACTION_LAWS)

@@ -10,7 +10,7 @@ the roundtrips are exercised in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .actions import action_from_section, semidirect_product
@@ -19,7 +19,9 @@ from .limits import same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     _bijective,
-    _level_pairs,
+    _generating_data,
+    _pinned_pairs,
+    _search_guard,
     _validate_endpoints,
     enumerate_morphisms,
     kernel,
@@ -157,7 +159,7 @@ def xmod_to_cat1(xm: CrossedModule, name: Optional[str] = None) -> Cat1Object:
         f"tgt_{name}",
         prod,
         c0,
-        tuple(c0.add[bmap[k // c0.n]][k % c0.n] for k in range(prod.n)),
+        tuple([c0.add[bmap[k // c0.n]][k % c0.n] for k in range(prod.n)]),
     )
     src = Morphism(f"src_{name}", prod, c0, proj.map)
     embed = Morphism(f"embed_{name}", c0, prod, sect.map)
@@ -175,7 +177,7 @@ def cat1_to_xmod(c: Cat1Object, name: Optional[str] = None) -> CrossedModule:
         f"bnd_{name}",
         act.acted,
         c.base,
-        tuple(c.tgt.map[p] for p in ker.embed.map),
+        tuple([c.tgt.map[p] for p in ker.embed.map]),
     )
     return make_xmod(name, bnd, act)
 
@@ -193,23 +195,43 @@ def xmod_morphism_to_cat1(
         f"big_{m.name}",
         dom_c.big,
         cod_c.big,
-        tuple(m.top.map[k // dn] * cn + m.bottom.map[k % dn] for k in range(dom_c.big.n)),
+        tuple([m.top.map[k // dn] * cn + m.bottom.map[k % dn] for k in range(dom_c.big.n)]),
     )
     base = Morphism(m.bottom.name, dom_c.base, cod_c.base, m.bottom.map)
     return Cat1Morphism(f"cat1_{m.name}", dom_c, cod_c, big, base)
+
+
+def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, iso=False, keep=None):
+    """Morphisms over the base maps, big-major, named name(k). The big
+    generators start with the embedded base's; under psi, the square laws
+    at g pin embed(q) to embed(psi q) and any g to the y over psi(src g)
+    and psi(tgt g), where keep(g, y) holds."""
+    d_src, d_tgt, c_src, c_tgt = dom.src.map, dom.tgt.map, cod.src.map, cod.tgt.map
+    embedded = {g: q for q, g in enumerate(dom.embed.map)}
+
+    def pin(psi, g, ys):
+        ys = [cod.embed.map[psi[embedded[g]]]] if g in embedded else ys
+        return [
+            y for y in ys if c_src[y] == psi[d_src[g]] and c_tgt[y] == psi[d_tgt[g]]
+            and (keep is None or keep(g, y))
+        ]
+
+    holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "psi", "phi")
+    seeds = [dom.embed.map[q] for q in _generating_data(dom.base)[0]]
+    pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds, iso, seeds)
+    return [
+        Cat1Morphism(name(k), dom, cod, Morphism(f"big_{name(k)}", dom.big, cod.big, big), base)
+        for k, (base, big) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0].map)))
+    ]
 
 
 def enumerate_cat1_morphisms(
     dom: Cat1Object, cod: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[Cat1Morphism]:
     """All (big, base) morphism pairs, big-major, that pass the squares."""
-    bigs = enumerate_morphisms(dom.big, cod.big, max_size)
+    _search_guard(dom.big, cod.big, max_size)
     bases = enumerate_morphisms(dom.base, cod.base, max_size)
-    holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "phi", "psi")
-    return [
-        Cat1Morphism(f"c1m{k}_{dom.name}_{cod.name}", dom, cod, phi, psi)
-        for k, (phi, psi) in enumerate(_level_pairs(bigs, bases, holds))
-    ]
+    return _big_search(dom, cod, bases, lambda k: f"c1m{k}_{dom.name}_{cod.name}")
 
 
 def find_cat1_isomorphism(
@@ -220,7 +242,7 @@ def find_cat1_isomorphism(
         return None
     if a.big.n != b.big.n or a.base.n != b.base.n:
         return None
-    for f in enumerate_cat1_morphisms(a, b, max_size):
-        if _bijective(f.big_map, f.base_map):
-            return replace(f, name=f"iso_{a.name}_{b.name}")
-    return None
+    _search_guard(a.big, b.big, max_size)
+    bases = [f for f in enumerate_morphisms(a.base, b.base, max_size) if _bijective(f)]
+    isos = _big_search(a, b, bases, lambda k: f"iso_{a.name}_{b.name}", iso=True)
+    return next((f for f in isos if _bijective(f.big_map)), None)

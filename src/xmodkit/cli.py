@@ -98,7 +98,7 @@ def _with_legs(make: Callable, *suffixes: str) -> Callable:
 
     def build(*inputs):
         obj, *legs = make(*inputs)
-        return obj, tuple(zip(suffixes, legs))
+        return obj, tuple(list(zip(suffixes, legs)))
 
     return build
 
@@ -179,7 +179,7 @@ def _cmd_check_universal(args) -> int:
     loaded: dict = {}
 
     def each(kind: str, paths) -> tuple:
-        return tuple(load(path, kind, loaded)[1] for path in paths)
+        return tuple([load(path, kind, loaded)[1] for path in paths])
 
     candidate = load(args.candidate, "xmod", loaded)[1]
     legs = each("xmodmorphism", args.legs)

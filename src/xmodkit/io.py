@@ -82,11 +82,11 @@ def _read_row(c: _Cursor, width: int, idx: dict[str, int]) -> tuple[int, ...]:
     line, fields = c.next()
     if len(fields) != width:
         raise ParseError(f"row needs {width} entries, found {len(fields)}", line=line)
-    return tuple(_lookup(idx, t, line) for t in fields)
+    return tuple([_lookup(idx, t, line) for t in fields])
 
 
 def _read_table(c: _Cursor, rows: int, width: int, idx: dict[str, int]):
-    return tuple(_read_row(c, width, idx) for _ in range(rows))
+    return tuple([_read_row(c, width, idx) for _ in range(rows)])
 
 
 def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], line: int):
@@ -95,7 +95,7 @@ def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], li
             f"{fields[0]!r} line needs {count} value(s), found {len(fields) - skip}",
             line=line,
         )
-    return tuple(_lookup(idx, t, line) for t in fields[skip:])
+    return tuple([_lookup(idx, t, line) for t in fields[skip:]])
 
 
 def parse_structure(text: str) -> Structure:

@@ -35,8 +35,8 @@ def direct_product(
     pairs = [(p, r) for p in range(a.n) for r in range(b.n)]
     name = name or f"prod_{a.name}_{b.name}"
     prod = restricted_product(name, (a, b), pairs)
-    fst = Morphism(f"fst_{name}", prod, a, tuple(p for p, _ in pairs))
-    snd = Morphism(f"snd_{name}", prod, b, tuple(r for _, r in pairs))
+    fst = Morphism(f"fst_{name}", prod, a, tuple([p for p, _ in pairs]))
+    snd = Morphism(f"snd_{name}", prod, b, tuple([r for _, r in pairs]))
     return prod, fst, snd
 
 
@@ -65,8 +65,8 @@ def fiber_product(
         )
     name = name or f"fib_{a.name}_{b.name}"
     fib = restricted_product(name, (a, b), pairs)
-    fst = Morphism(f"fst_{name}", fib, a, tuple(p for p, _ in pairs))
-    snd = Morphism(f"snd_{name}", fib, b, tuple(r for _, r in pairs))
+    fst = Morphism(f"fst_{name}", fib, a, tuple([p for p, _ in pairs]))
+    snd = Morphism(f"snd_{name}", fib, b, tuple([r for _, r in pairs]))
     return fib, fst, snd
 
 
@@ -77,5 +77,5 @@ def equalizer(f: Morphism, g: Morphism, name: str | None = None) -> Subobject:
     for leg in (f, g):
         if not is_morphism(leg):
             raise StructuralError(f"equalizer leg {leg.name} is not a morphism")
-    subset = tuple(i for i in range(f.dom.n) if f.map[i] == g.map[i])
+    subset = tuple([i for i in range(f.dom.n) if f.map[i] == g.map[i]])
     return subobject(f.dom, subset, name=name or f"eq_{f.name}_{g.name}")

@@ -3,20 +3,18 @@
 Every search in the package runs on the pieces here. The additive reduct
 of a valid structure is a finite group, so a morphism is determined by
 the images of a greedy generating set; ``_image_tables`` tries every
-tuple of generator images allowed by element orders (order divides for
-``enumerate_morphisms``, order equal for ``find_isomorphism``), extends
+tuple of generator images from one candidate list per generator, extends
 it along recorded sum derivations and keeps the tables that pass the law
-table ``morphism_report`` runs, bound once per search. ``_level_pairs``
-filters pairs of level morphisms through a square law filter (crossed
-module and cat1 morphisms), and ``_bijective`` is the isomorphism test
-of every ``find_*`` function. A brute-force scan is kept in the tests as
-the oracle for these routines.
-"""
+table ``morphism_report`` runs, bound once per search. The lists come
+from element orders, and ``_pinned_pairs`` (crossed module and cat1
+morphisms) fixes each lower level map and cuts them by the square laws
+at each generator. ``_bijective`` is the isomorphism test of every
+``find_*`` function. The tests keep a brute-force scan and the unpinned
+route (full Hom sets, then the square laws) as oracles."""
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Optional
 
 from .errors import SizeGuardError, StructuralError
@@ -36,7 +34,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f."""
     if f.cod is not g.dom and f.cod != g.dom:
         raise StructuralError(f"cannot compose {g.name} after {f.name}: endpoint mismatch")
-    return Morphism(f"{g.name}.{f.name}", f.dom, g.cod, tuple(g.map[v] for v in f.map))
+    return Morphism(f"{g.name}.{f.name}", f.dom, g.cod, tuple([g.map[v] for v in f.map]))
 
 
 def _validate_endpoints(f: Morphism) -> None:
@@ -77,7 +75,7 @@ def morphism_report(f: Morphism) -> Report:
         return Report(f"morphism {f.name}", (item,))
     laws, sorts, ops = _hom_env(a, b)
     ops["f"] = f.map
-    return Report(f"morphism {f.name}", tuple(check(lw, sorts, ops) for lw in laws))
+    return Report(f"morphism {f.name}", tuple([check(lw, sorts, ops) for lw in laws]))
 
 
 def is_morphism(f: Morphism) -> bool:
@@ -100,7 +98,7 @@ def kernel(f: Morphism) -> Subobject:
     if not rep.ok:
         first = rep.failures()[0]
         raise StructuralError(f"kernel of non-morphism {f.name}: {first.law}")
-    subset = tuple(i for i in range(f.dom.n) if f.map[i] == f.cod.zero)
+    subset = tuple([i for i in range(f.dom.n) if f.map[i] == f.cod.zero])
     return subobject(f.dom, subset, name=f"ker_{f.name}")
 
 
@@ -118,9 +116,9 @@ def ideal_report(sub: Subobject) -> Report:
     p = sub.parent
     inside = set(sub.elements)
     sorts = {"P": carrier(p), "I": (sub.elements, p.elements)}
-    ops = {**operations(p, "P."), "in": tuple(v if v in inside else p.zero for v in range(p.n))}
+    ops = {**operations(p, "P."), "in": tuple([v if v in inside else p.zero for v in range(p.n)])}
     laws = law_table(_IDEAL_LAWS, p.profile.binary_symbols())
-    return Report(f"ideal {sub.induced.name}", tuple(check(lw, sorts, ops) for lw in laws))
+    return Report(f"ideal {sub.induced.name}", tuple([check(lw, sorts, ops) for lw in laws]))
 
 
 def is_ideal(sub: Subobject) -> bool:
@@ -131,49 +129,53 @@ def is_ideal(sub: Subobject) -> bool:
 # search
 
 
-def _generating_data(s: Structure):
-    """Greedy additive generators plus a derivation of every nonzero element.
+def _search_guard(a: Structure, b: Structure, max_size: int) -> None:
+    """The checks every search of a -> b makes before it starts."""
+    if a.profile.name != b.profile.name:
+        raise StructuralError(
+            f"cannot enumerate morphisms across profiles ({a.profile.name} vs {b.profile.name})"
+        )
+    if a.n > max_size:
+        raise SizeGuardError(
+            f"enumerate_morphisms: domain carrier {a.n} exceeds guard {max_size}"
+        )
+    for s in (b, a):
+        if s.zero is None:
+            raise StructuralError(f"{s.name}: no zero, cannot enumerate morphisms")
+
+
+def _generating_data(s: Structure, first=()):
+    """Additive generators (those of first not yet reached, then greedy
+    picks) plus a derivation of every nonzero element.
 
     A derivation (element, parent, k) means element = parent + gens[k],
     with parent zero or derived earlier; generator k is zero + gens[k].
     """
-    if s.zero is None:
-        raise StructuralError(f"{s.name}: no zero, cannot enumerate morphisms")
     known = {s.zero}
     order: list[tuple[int, int, int]] = []
     gens: list[int] = []
-    for x in range(s.n):
+    for x in (*first, *range(s.n)):
         if x in known:
             continue
         gens.append(x)
         known.add(x)
         order.append((x, s.zero, len(gens) - 1))
-        grew = True
-        while grew:
-            grew = False
-            for e, _, _ in list(order):
-                for k, g in enumerate(gens):
-                    z = s.add[e][g]
-                    if z not in known:
-                        known.add(z)
-                        order.append((z, e, k))
-                        grew = True
+        for e, _, _ in order:  # the loop also visits what it appends
+            for k, g in enumerate(gens):
+                z = s.add[e][g]
+                if z not in known:
+                    known.add(z)
+                    order.append((z, e, k))
     return gens, order
 
 
-def _image_tables(a: Structure, b: Structure, admissible):
+def _image_tables(a: Structure, b: Structure, order, allowed):
     """Image tables of the morphisms a -> b, in candidate order.
 
-    A candidate gives each generator an image y with
-    ``admissible(order of the generator, order of y)``; it is extended
-    along the derivations and yielded if it passes the laws of
-    ``morphism_report``, bound once.
+    A candidate gives generator k an image from allowed[k]; it is
+    extended along the derivations order of _generating_data and yielded
+    if it passes the laws of ``morphism_report``, bound once.
     """
-    gens, order = _generating_data(a)
-    allowed = []
-    for g in gens:
-        o = element_order(a, g)
-        allowed.append([y for y in range(b.n) if admissible(o, element_order(b, y))])
     preserves = law_filter(*_hom_env(a, b), "f")
     n, b_add, b_zero = a.n, b.add, b.zero
     for images in itertools.product(*allowed):
@@ -183,6 +185,31 @@ def _image_tables(a: Structure, b: Structure, admissible):
         m = tuple(img)
         if preserves(m):
             yield m
+
+
+def _by_order(a: Structure, b: Structure, gens, iso: bool) -> list[list[int]]:
+    """Per generator of a, the elements of b whose order divides its order
+    (equals it, for an isomorphism)."""
+    orders = [element_order(b, y) for y in range(b.n)]
+    return [
+        [y for y in range(b.n) if (o == orders[y] if iso else o % orders[y] == 0)]
+        for o in [element_order(a, g) for g in gens]
+    ]
+
+
+def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds, iso=False, first=()) -> list:
+    """(lower, table) pairs, lower-major, tables sorted: under each lower
+    morphism, the tables a -> b whose generators g (from first on) take
+    images pin(lower map, g, ys) of the order-allowed ys, and that pass
+    holds(lower map, table)."""
+    gens, order = _generating_data(a, first)
+    ranked = _by_order(a, b, gens, iso)
+    return [
+        (low, m)
+        for low in lowers
+        for m in sorted(_image_tables(a, b, order, [pin(low.map, *p) for p in zip(gens, ranked)]))
+        if holds(low.map, m)
+    ]
 
 
 def _bijective(*maps: Morphism) -> bool:
@@ -195,24 +222,11 @@ def _bijective(*maps: Morphism) -> bool:
     return all(len(set(f.map)) == len(f.map) == f.cod.n for f in maps)
 
 
-def _level_pairs(outer, inner, holds) -> list:
-    """(o, i) pairs of level morphisms, outer-major, with holds(o.map, i.map)."""
-    return [(o, i) for o in outer for i in inner if holds(o.map, i.map)]
-
-
 def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE) -> list[Morphism]:
     """All morphisms a -> b, sorted by image tuple."""
-    if a.profile.name != b.profile.name:
-        raise StructuralError(
-            f"cannot enumerate morphisms across profiles ({a.profile.name} vs {b.profile.name})"
-        )
-    if a.n > max_size:
-        raise SizeGuardError(
-            f"enumerate_morphisms: domain carrier {a.n} exceeds guard {max_size}"
-        )
-    if b.zero is None:
-        raise StructuralError(f"{b.name}: no zero, cannot enumerate morphisms")
-    found = sorted(_image_tables(a, b, lambda o, p: o % p == 0))
+    _search_guard(a, b, max_size)
+    gens, order = _generating_data(a)
+    found = sorted(_image_tables(a, b, order, _by_order(a, b, gens, False)))
     return [Morphism(f"hom{k}_{a.name}_{b.name}", a, b, m) for k, m in enumerate(found)]
 
 
@@ -232,7 +246,8 @@ def find_isomorphism(
         element_order(b, i) for i in range(b.n)
     ):
         return None
-    for m in _image_tables(a, b, operator.eq):
+    gens, order = _generating_data(a)
+    for m in _image_tables(a, b, order, _by_order(a, b, gens, True)):
         iso = Morphism(f"iso_{a.name}_{b.name}", a, b, m)
         if _bijective(iso):
             return iso

@@ -40,10 +40,10 @@ class VarietyProfile:
     identities: tuple[Identity, ...]
 
     def binary_symbols(self) -> tuple[str, ...]:
-        return tuple(b.symbol for b in self.binary)
+        return tuple([b.symbol for b in self.binary])
 
     def unary_symbols(self) -> tuple[str, ...]:
-        return tuple(u.symbol for u in self.unary)
+        return tuple([u.symbol for u in self.unary])
 
     def opposite_of(self, symbol: str) -> str:
         for b in self.binary:
@@ -60,7 +60,7 @@ class VarietyProfile:
         return syms.index(symbol) < syms.index(opp)
 
     def primary_binary_symbols(self) -> tuple[str, ...]:
-        return tuple(s for s in self.binary_symbols() if self.is_primary(s))
+        return tuple([s for s in self.binary_symbols() if self.is_primary(s)])
 
     def unary_kind(self, symbol: str) -> str:
         for u in self.unary:
@@ -75,8 +75,8 @@ def make_profile(
     unary: Sequence[tuple[str, str] | UnaryOp],
     identities: Iterable[Identity],
 ) -> VarietyProfile:
-    bops = tuple(BinaryOp(s, o) for s, o in binary)
-    uops = tuple(u if isinstance(u, UnaryOp) else UnaryOp(*u) for u in unary)
+    bops = tuple([BinaryOp(s, o) for s, o in binary])
+    uops = tuple([u if isinstance(u, UnaryOp) else UnaryOp(*u) for u in unary])
     idents = tuple(identities)
 
     syms = [b.symbol for b in bops]

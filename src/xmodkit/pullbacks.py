@@ -20,7 +20,7 @@ from .actions import restrict_action
 from .cat1 import (
     Cat1Morphism,
     Cat1Object,
-    enumerate_cat1_morphisms,
+    _big_search,
     find_cat1_isomorphism,
     make_cat1,
     verify_cat1,
@@ -28,14 +28,14 @@ from .cat1 import (
 )
 from .errors import StructuralError
 from .limits import fiber_product, same_structure
-from .morphisms import DEFAULT_MAX_SIZE, is_morphism
+from .morphisms import DEFAULT_MAX_SIZE, _search_guard, enumerate_morphisms, is_morphism
 from .report import CheckItem, Report, merge_pre
 from .structures import Morphism, _Restriction, restricted_product
 from .xmod import (
     CrossedModule,
     XModMorphism,
+    _top_search,
     compose_xmod_morphisms,
-    enumerate_xmod_morphisms,
     inclusion_xmod,
     make_xmod,
 )
@@ -100,14 +100,15 @@ def xmod_pullback_mediators(
     f: XModMorphism,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[XModMorphism]:
-    """All morphisms into the pullback that solve f's square, by scan."""
+    """All morphisms into the pullback that solve the square of the morphism
+    f, named med<k>_<f>: identity bottom, top generator g into the fibre of
+    proj.top over f.top(g)."""
+    _search_guard(f.dom.c1, pb.c1, max_size)
     idm = tuple(range(pb.c0.n))
-    return [
-        m
-        for m in enumerate_xmod_morphisms(f.dom, pb, max_size)
-        if m.bottom.map == idm
-        and tuple(proj.top.map[v] for v in m.top.map) == f.top.map
-    ]
+    bottoms = [h for h in enumerate_morphisms(f.dom.c0, pb.c0, max_size) if h.map == idm]
+    over, leg = proj.top.map, f.top.map
+    keep = lambda g, y: over[y] == leg[g]  # noqa: E731
+    return _top_search(f.dom, pb, bottoms, lambda k: f"med{k}_{f.name}", keep=keep)
 
 
 def pullback_xmod_morphism(
@@ -137,7 +138,7 @@ def preimage_xmod(
     for i in idx:
         if not 0 <= i < phi.cod.n:
             raise StructuralError(f"preimage along {phi.name}: index {i} out of range")
-    pre = tuple(i for i in range(phi.dom.n) if phi.map[i] in idx)
+    pre = tuple([i for i in range(phi.dom.n) if phi.map[i] in idx])
     return inclusion_xmod(phi.dom, pre, name=name or f"pre_{phi.name}")
 
 
@@ -164,8 +165,8 @@ def pullback_cat1(
         raise StructuralError(f"pullback of {c.name}: empty carrier")
     comps = (t, r, t)
     big = restricted_product(f"big_{name}", comps, triples)
-    src = Morphism(f"src_{name}", big, t, tuple(q1 for q1, _, _ in triples))
-    tgt = Morphism(f"tgt_{name}", big, t, tuple(q2 for _, _, q2 in triples))
+    src = Morphism(f"src_{name}", big, t, tuple([q1 for q1, _, _ in triples]))
+    tgt = Morphism(f"tgt_{name}", big, t, tuple([q2 for _, _, q2 in triples]))
     lifted = [c.embed.map[v] for v in phi.map]
     embed = Morphism(
         f"embed_{name}",
@@ -180,7 +181,7 @@ def pullback_cat1(
         f"proj_{name}",
         pc,
         c,
-        Morphism(f"pi_{name}", big, r, tuple(k for _, k, _ in triples)),
+        Morphism(f"pi_{name}", big, r, tuple([k for _, k, _ in triples])),
         Morphism(phi.name, t, c.base, phi.map),
     )
     return pc, proj
@@ -220,14 +221,15 @@ def cat1_pullback_mediators(
     g: Cat1Morphism,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[Cat1Morphism]:
-    """All morphisms into the pullback that solve g's square, by scan."""
+    """All morphisms into the pullback that solve the square of the morphism
+    g, named med<k>_<g>: identity base, big generator k into the fibre of
+    proj's big map over g's image of k."""
+    _search_guard(g.dom.big, pc.big, max_size)
     idm = tuple(range(pc.base.n))
-    return [
-        m
-        for m in enumerate_cat1_morphisms(g.dom, pc, max_size)
-        if m.base_map.map == idm
-        and tuple(proj.big_map.map[v] for v in m.big_map.map) == g.big_map.map
-    ]
+    bases = [h for h in enumerate_morphisms(g.dom.base, pc.base, max_size) if h.map == idm]
+    over, leg = proj.big_map.map, g.big_map.map
+    keep = lambda k, y: over[y] == leg[k]  # noqa: E731
+    return _big_search(g.dom, pc, bases, lambda k: f"med{k}_{g.name}", keep=keep)
 
 
 def square_commutes(

@@ -43,7 +43,7 @@ class Report:
         return all(i.ok for i in self.items)
 
     def failures(self) -> tuple[CheckItem, ...]:
-        return tuple(i for i in self.items if not i.ok)
+        return tuple([i for i in self.items if not i.ok])
 
     def lines(self) -> list[str]:
         return [i.line() for i in self.items]
@@ -77,5 +77,5 @@ def check(lw: Law, sorts: Sorts, ops: Mapping[str, object]) -> CheckItem:
     values, k, lhs, rhs = found
     e = lw.equations[k]
     ids = sorts[e.sort][1]
-    witness = tuple(sorts[s][1][v] for (_, s), v in zip(lw.variables, values))
+    witness = tuple([sorts[s][1][v] for (_, s), v in zip(lw.variables, values)])
     return CheckItem(lw.name, False, witness, e.detail.format(lhs=ids[lhs], rhs=ids[rhs]))

@@ -23,7 +23,6 @@ Extra identities from the profile are checked after the core; passing
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -84,7 +83,7 @@ class Subobject:
 
 def _transpose(t: Table2) -> Table2:
     n = len(t)
-    return tuple(tuple(t[j][i] for j in range(n)) for i in range(n))
+    return tuple([tuple([t[j][i] for j in range(n)]) for i in range(n)])
 
 
 def _check_table2(name: str, op: str, t: Sequence[Sequence[int]], n: int) -> Table2:
@@ -214,10 +213,10 @@ def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Id
 @functools.lru_cache(maxsize=None)
 def _structure_checks(profile: VarietyProfile, core_only: bool) -> tuple[Law, ...]:
     """structure_laws as engine laws, every variable over the carrier S."""
-    return tuple(
-        Law(i.name, tuple((v, "S") for v in i.variables()), (Equation(i.lhs, i.rhs, "S"),))
+    return tuple([
+        Law(i.name, tuple([(v, "S") for v in i.variables()]), (Equation(i.lhs, i.rhs, "S"),))
         for i in structure_laws(profile, core_only)
-    )
+    ])
 
 
 def carrier(s: Structure):
@@ -281,7 +280,7 @@ class _Restriction:
     def __init__(self, name: str, components: Sequence[Structure], keep):
         self.name = name
         self.components = components
-        self.cols = tuple(zip(*keep))  # coordinate i of every kept tuple
+        self.cols = tuple(list(zip(*keep)))  # coordinate i of every kept tuple
         self.getters = list(map(_getter, self.cols))
         self.pos = dict(zip(keep, range(len(keep))))
 
@@ -289,8 +288,8 @@ class _Restriction:
         """Ids of the tuples whose coordinate i runs through cols[i]."""
         names = [map(c.elements.__getitem__, col) for c, col in zip(self.components, cols)]
         if len(names) == 1:
-            return tuple(names[0])
-        return tuple(map("({})".format, map(",".join, zip(*names))))
+            return tuple(list(names[0]))
+        return tuple(list(map("({})".format, map(",".join, zip(*names)))))
 
     def locate(self, columns, op: str, heads, args: Sequence[str]) -> Table2:
         """Positions of a table of tuples given coordinatewise.
@@ -299,15 +298,16 @@ class _Restriction:
         with args; entry (h, j) is op at heads[h] + (args[j],).
         """
         rows = map(zip, *columns)
+        find = self.pos.__getitem__
         try:
-            return tuple(map(tuple, map(map, itertools.repeat(self.pos.__getitem__), rows)))
+            return tuple([tuple(list(map(find, row))) for row in rows])
         except KeyError:
             self._escape(zip(*columns), op, heads, args)
 
     def image(self, values, op: str, args: Sequence[str]) -> Table1:
         """Positions of one row: values[i] holds coordinate i, entry j is op at args[j]."""
         try:
-            return tuple(map(self.pos.__getitem__, zip(*values)))
+            return tuple(list(map(self.pos.__getitem__, zip(*values))))
         except KeyError:
             self._escape([values], op, [()], args)
 

@@ -270,17 +270,17 @@ def _compiled(lw: Law):
             pick = index[var]
         if op not in ops:
             ops.append(op)
-        return ops.index(op), pick, tuple(map(shape, args))
+        return ops.index(op), pick, tuple(list(map(shape, args)))
 
-    eqs = tuple(
+    eqs = tuple([
         (shape(e.lhs), shape(e.rhs), None if e.when is None else shape(e.when))
         for e in lw.equations
-    )
+    ])
     key = (len(index), len(ops), eqs)
     scan = _SCANNERS.get(key)
     if scan is None:
         scan = _SCANNERS[key] = _generate(*key)
-    hit = _COMPILED[lw] = (scan, tuple(s for _, s in lw.variables), tuple(ops))
+    hit = _COMPILED[lw] = (scan, tuple([s for _, s in lw.variables]), tuple(ops))
     return hit
 
 

@@ -10,7 +10,7 @@ do. Slice constructions keep one base fixed and only move the top level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .actions import (
@@ -26,7 +26,8 @@ from .morphisms import (
     DEFAULT_MAX_SIZE,
     UNIVERSAL_MAX_SIZE,
     _bijective,
-    _level_pairs,
+    _pinned_pairs,
+    _search_guard,
     compose,
     enumerate_morphisms,
     identity_morphism,
@@ -196,7 +197,7 @@ def xmod_fiber_product(
     # carrier gets its own name so module and structure files never collide
     fib, fst, snd = fiber_product(xm1.boundary, xm2.boundary, name=f"c1_{name}")
     base = xm1.c0
-    bnd = Morphism(f"bnd_{name}", fib, base, tuple(xm1.boundary.map[p] for p in fst.map))
+    bnd = Morphism(f"bnd_{name}", fib, base, tuple([xm1.boundary.map[p] for p in fst.map]))
     act = restrict_action(
         f"diag_{fib.name}", base, fib, list(zip(fst.map, snd.map)),
         [(xm1.action, range(base.n)), (xm2.action, range(base.n))],
@@ -220,9 +221,9 @@ def induced_xmod(f: XModMorphism, name: str | None = None) -> CrossedModule:
     src, tgt = f.dom, f.cod
     s = tgt.c1
     bmap = tgt.boundary.map
-    dot = tuple(src.action.dot[bmap[b]] for b in range(s.n))
+    dot = tuple([src.action.dot[bmap[b]] for b in range(s.n)])
     star = {
-        sym: tuple(src.action.star_act[sym][bmap[b]] for b in range(s.n))
+        sym: tuple([src.action.star_act[sym][bmap[b]] for b in range(s.n)])
         for sym in s.profile.binary_symbols()
     }
     act = make_action(f"ind_{f.name}", s, src.c1, dot, star)
@@ -272,7 +273,7 @@ def compose_xmod(
             witness=ids if k == 0 else (at, *ids),
         )
     name = name or f"{upper.name}_then_{lower.name}"
-    bnd = Morphism(f"bnd_{name}", q, lower.c0, tuple(lbnd[v] for v in upper.boundary.map))
+    bnd = Morphism(f"bnd_{name}", q, lower.c0, tuple([lbnd[v] for v in upper.boundary.map]))
     return make_xmod(name, bnd, base_action)
 
 
@@ -352,15 +353,19 @@ def xmod_equalizer(
 # morphism search and universal properties
 
 
-def _square_pairs(
-    dom: CrossedModule, cod: CrossedModule, tops, bottoms, prefix: str
-) -> list[XModMorphism]:
-    """Candidate (top, bottom) pairs, bottom-major, that pass the morphism
-    squares of verify_xmod_morphism; names are prefix, count, endpoints.
-    """
-    pairs = _level_pairs(bottoms, tops, law_filter(*_square_env(dom, cod), "bot", "top"))
+def _top_search(dom: CrossedModule, cod: CrossedModule, bottoms, name, iso=False, keep=None):
+    """Morphisms over the bottoms, bottom-major, named name(k): under a bottom,
+    a top generator g only goes into the fibre of cbnd over bot(dbnd g) (the
+    square law at g) where keep(g, y) holds."""
+    dbnd, cbnd = dom.boundary.map, cod.boundary.map
+
+    def pin(bot, g, ys):
+        return [y for y in ys if cbnd[y] == bot[dbnd[g]] and (keep is None or keep(g, y))]
+
+    holds = law_filter(*_square_env(dom, cod), "bot", "top")
+    pairs = _pinned_pairs(dom.c1, cod.c1, bottoms, pin, holds, iso)
     return [
-        XModMorphism(f"{prefix}{k}_{dom.name}_{cod.name}", dom, cod, top, bot)
+        XModMorphism(name(k), dom, cod, Morphism(f"top_{name(k)}", dom.c1, cod.c1, top), bot)
         for k, (bot, top) in enumerate(pairs)
     ]
 
@@ -373,18 +378,19 @@ def enumerate_slice_morphisms(
         raise StructuralError(
             f"slice morphisms between {dom.name} and {cod.name}: bases differ"
         )
+    _search_guard(dom.c1, cod.c1, max_size)
     base = dom.c0
     ident = Morphism(f"id_{base.name}", dom.c0, cod.c0, tuple(range(base.n)))
-    return _square_pairs(dom, cod, enumerate_morphisms(dom.c1, cod.c1, max_size), [ident], "sl")
+    return _top_search(dom, cod, [ident], lambda k: f"sl{k}_{dom.name}_{cod.name}")
 
 
 def enumerate_xmod_morphisms(
     dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[XModMorphism]:
     """All (top, bottom) morphism pairs between two crossed modules."""
-    tops = enumerate_morphisms(dom.c1, cod.c1, max_size)
+    _search_guard(dom.c1, cod.c1, max_size)
     bottoms = enumerate_morphisms(dom.c0, cod.c0, max_size)
-    return _square_pairs(dom, cod, tops, bottoms, "xm")
+    return _top_search(dom, cod, bottoms, lambda k: f"xm{k}_{dom.name}_{cod.name}")
 
 
 def find_xmod_isomorphism(
@@ -395,10 +401,10 @@ def find_xmod_isomorphism(
         return None
     if a.c1.n != b.c1.n or a.c0.n != b.c0.n:
         return None
-    for cand in enumerate_xmod_morphisms(a, b, max_size):
-        if _bijective(cand.top, cand.bottom):
-            return replace(cand, name=f"iso_{a.name}_{b.name}")
-    return None
+    _search_guard(a.c1, b.c1, max_size)
+    bottoms = [f for f in enumerate_morphisms(a.c0, b.c0, max_size) if _bijective(f)]
+    isos = _top_search(a, b, bottoms, lambda k: f"iso_{a.name}_{b.name}", iso=True)
+    return next((f for f in isos if _bijective(f.top)), None)
 
 
 def verify_universal_cone(
@@ -465,7 +471,7 @@ def verify_universal_cone(
             ]
             mediators = enumerate_slice_morphisms(t, candidate)
         index = Counter(
-            tuple(compose(leg, getattr(w, level)).map for leg, level in leg_levels)
+            tuple([compose(leg, getattr(w, level)).map for leg, level in leg_levels])
             for w in mediators
         )
         counts = [index[c] for c in cones]

@@ -27,9 +27,9 @@ def make_cyclic(n: int, name: Optional[str] = None) -> Structure:
     """Additive residues mod n."""
     if n < 1:
         raise StructuralError(f"cyclic structure needs n >= 1, got {n}")
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    neg = tuple((-i) % n for i in range(n))
-    ids = tuple(str(i) for i in range(n))
+    add = tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)])
+    neg = tuple([(-i) % n for i in range(n)])
+    ids = tuple([str(i) for i in range(n)])
     return make_structure(name or f"z{n}", get_profile("group"), ids, add, neg, {}, {})
 
 
@@ -40,10 +40,10 @@ _PERM_IDS = ("e", "r", "r2", "s", "rs", "r2s")
 def make_symmetric3(name: str = "s3") -> Structure:
     """Permutations of three points; addition is composition."""
     idx = {p: i for i, p in enumerate(_PERMS3)}
-    add = tuple(
-        tuple(idx[tuple(p[q[i]] for i in range(3))] for q in _PERMS3) for p in _PERMS3
-    )
-    inv = tuple(idx[tuple(sorted(range(3), key=lambda i: p[i]))] for p in _PERMS3)
+    add = tuple([
+        tuple([idx[tuple([p[q[i]] for i in range(3)])] for q in _PERMS3]) for p in _PERMS3
+    ])
+    inv = tuple([idx[tuple(sorted(range(3), key=lambda i: p[i]))] for p in _PERMS3])
     return make_structure(name, get_profile("group"), _PERM_IDS, add, inv, {}, {})
 
 
@@ -67,18 +67,18 @@ def _fp_algebra(p: int, k: int, profile: str, letters, products: dict, name: str
     coefficient tuples that returns their product, already reduced mod p.
     """
     prof = get_profile(profile)
-    elems = [tuple((i // p**j) % p for j in range(k)) for i in range(p**k)]
+    elems = [tuple([(i // p**j) % p for j in range(k)]) for i in range(p**k)]
     idx = {e: i for i, e in enumerate(elems)}
-    ids = tuple(_coeff_id(e, letters) for e in elems)
-    add = tuple(
-        tuple(idx[tuple([(a + b) % p for a, b in zip(u, v)])] for v in elems) for u in elems
-    )
+    ids = tuple([_coeff_id(e, letters) for e in elems])
+    add = tuple([
+        tuple([idx[tuple([(a + b) % p for a, b in zip(u, v)])] for v in elems]) for u in elems
+    ])
     star = {
-        sym: tuple(tuple(idx[prod(u, v)] for v in elems) for u in elems)
+        sym: tuple([tuple([idx[prod(u, v)] for v in elems]) for u in elems])
         for sym, prod in products.items()
     }
     omega = {
-        f"s{c}": tuple(idx[tuple([(c * a) % p for a in u])] for u in elems) for c in range(p)
+        f"s{c}": tuple([idx[tuple([(c * a) % p for a in u])] for u in elems]) for c in range(p)
     }
     # neg is the scalar p - 1
     return make_structure(name, prof, ids, add, omega[f"s{p - 1}"], star, omega)

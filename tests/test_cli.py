@@ -551,6 +551,22 @@ def test_square_check_cli(tmp_path, capsys):
     assert "ERROR" in err
 
 
+def test_square_check_27_element_split_carrier(tmp_path, capsys):
+    xm = make_standard_xmods()["xm_ideal_f3x"]
+    save_xmod(xm, tmp_path / "xm_ideal_f3x.mci")
+    save_morphism(identity_morphism(xm.c0), tmp_path / "id_f3x.mci")
+    args = ("square-check", "--xmod", str(tmp_path / "xm_ideal_f3x.mci"),
+            "--along", str(tmp_path / "id_f3x.mci"))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == "ERROR enumerate_morphisms: domain carrier 27 exceeds guard 12\n"
+
+    code, out, err = run(capsys, *args, "--max-size", "81")
+    assert code == 0 and err == ""
+    assert "PASS isomorphic" in out
+    assert out.splitlines()[-1] == "RESULT PASS square xm_ideal_f3x along id_f3x"
+
+
 def test_construction_output_is_byte_stable(tmp_path, capsys):
     xm_path = write_zoo_xmod(tmp_path, "xm_z2_z4")
     _, first, _ = run(capsys, "to-cat1", str(xm_path))
