@@ -201,7 +201,7 @@ def xmod_morphism_to_cat1(
     return Cat1Morphism(f"cat1_{m.name}", dom_c, cod_c, big, base)
 
 
-def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, iso=False, keep=None):
+def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, keep=None):
     """Morphisms over the base maps, big-major, named name(k). The big
     generators start with the embedded base's; under psi, the square laws
     at g pin embed(q) to embed(psi q) and any g to the y over psi(src g)
@@ -218,7 +218,7 @@ def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, iso=False, keep=N
 
     holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "psi", "phi")
     seeds = [dom.embed.map[q] for q in _generating_data(dom.base)[0]]
-    pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds, iso, seeds)
+    pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds, seeds)
     return [
         Cat1Morphism(name(k), dom, cod, Morphism(f"big_{name(k)}", dom.big, cod.big, big), base)
         for k, (base, big) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0].map)))
@@ -244,5 +244,5 @@ def find_cat1_isomorphism(
         return None
     _search_guard(a.big, b.big, max_size)
     bases = [f for f in enumerate_morphisms(a.base, b.base, max_size) if _bijective(f)]
-    isos = _big_search(a, b, bases, lambda k: f"iso_{a.name}_{b.name}", iso=True)
+    isos = _big_search(a, b, bases, lambda k: f"iso_{a.name}_{b.name}")
     return next((f for f in isos if _bijective(f.big_map)), None)

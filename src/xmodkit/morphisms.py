@@ -5,12 +5,13 @@ of a valid structure is a finite group, so a morphism is determined by
 the images of a greedy generating set; ``_image_tables`` tries every
 tuple of generator images from one candidate list per generator, extends
 it along recorded sum derivations and keeps the tables that pass the law
-table ``morphism_report`` runs, bound once per search. The lists come
-from element orders, and ``_pinned_pairs`` (crossed module and cat1
-morphisms) fixes each lower level map and cuts them by the square laws
-at each generator. ``_bijective`` is the isomorphism test of every
-``find_*`` function. The tests keep a brute-force scan and the unpinned
-route (full Hom sets, then the square laws) as oracles."""
+table ``morphism_report`` runs, bound once per search. Each list holds
+the elements whose order divides the generator's, and ``_pinned_pairs``
+(crossed module and cat1 morphisms) fixes each lower level map and cuts
+the lists by the square laws at each generator. ``_bijective`` is the
+isomorphism test of every ``find_*`` function. The tests keep a
+brute-force scan and the unpinned route (full Hom sets, then the square
+laws) as oracles."""
 
 from __future__ import annotations
 
@@ -187,23 +188,21 @@ def _image_tables(a: Structure, b: Structure, order, allowed):
             yield m
 
 
-def _by_order(a: Structure, b: Structure, gens, iso: bool) -> list[list[int]]:
-    """Per generator of a, the elements of b whose order divides its order
-    (equals it, for an isomorphism)."""
+def _by_order(a: Structure, b: Structure, gens) -> list[list[int]]:
+    """Per generator of a, the elements of b whose order divides its order."""
     orders = [element_order(b, y) for y in range(b.n)]
     return [
-        [y for y in range(b.n) if (o == orders[y] if iso else o % orders[y] == 0)]
-        for o in [element_order(a, g) for g in gens]
+        [y for y in range(b.n) if o % orders[y] == 0] for o in [element_order(a, g) for g in gens]
     ]
 
 
-def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds, iso=False, first=()) -> list:
+def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds, first=()) -> list:
     """(lower, table) pairs, lower-major, tables sorted: under each lower
     morphism, the tables a -> b whose generators g (from first on) take
     images pin(lower map, g, ys) of the order-allowed ys, and that pass
     holds(lower map, table)."""
     gens, order = _generating_data(a, first)
-    ranked = _by_order(a, b, gens, iso)
+    ranked = _by_order(a, b, gens)
     return [
         (low, m)
         for low in lowers
@@ -226,7 +225,7 @@ def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_
     """All morphisms a -> b, sorted by image tuple."""
     _search_guard(a, b, max_size)
     gens, order = _generating_data(a)
-    found = sorted(_image_tables(a, b, order, _by_order(a, b, gens, False)))
+    found = sorted(_image_tables(a, b, order, _by_order(a, b, gens)))
     return [Morphism(f"hom{k}_{a.name}_{b.name}", a, b, m) for k, m in enumerate(found)]
 
 
@@ -247,7 +246,7 @@ def find_isomorphism(
     ):
         return None
     gens, order = _generating_data(a)
-    for m in _image_tables(a, b, order, _by_order(a, b, gens, True)):
+    for m in _image_tables(a, b, order, _by_order(a, b, gens)):
         iso = Morphism(f"iso_{a.name}_{b.name}", a, b, m)
         if _bijective(iso):
             return iso

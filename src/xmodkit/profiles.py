@@ -4,18 +4,21 @@ A profile fixes the binary star symbols (closed under formal opposites),
 the unary symbols with their distribution kind, and any extra identities
 beyond the core axioms. Structures, actions and everything above them are
 always relative to one profile.
+
+The builtin profiles come from one table of families: each lists its
+star symbols with their opposites and its identities as ``"lhs = rhs"``
+rows in the term language of :mod:`terms`. Every family member over F_p
+also gets ``add-comm`` and scalar unaries s0..s(p-1), each pinned to
+repeated addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import StructuralError
-from .terms import App, Identity, Var, Zero, term_ops
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .terms import Term
+from .terms import Identity, parse_identity, term_ops
 
 RESERVED = ("add", "neg", "0")
 
@@ -124,107 +127,48 @@ def make_profile(
     return VarietyProfile(name, bops, uops, idents)
 
 
-def _v(n: str) -> Term:
-    return Var(n)
-
-
-def _add(a: Term, b: Term) -> Term:
-    return App("add", (a, b))
-
-
-def _repeated_add(t: Term, k: int) -> Term:
-    if k == 0:
-        return Zero()
-    out = t
-    for _ in range(k - 1):
-        out = _add(out, t)
-    return out
-
-
-def _scalar_ops(p: int) -> tuple[list[tuple[str, str]], list[Identity]]:
-    """S-kind scalar unaries s0..s(p-1) pinned to repeated addition."""
-    ops = [(f"s{k}", "S") for k in range(p)]
-    idents = [
-        Identity(f"scalar-s{k}", App(f"s{k}", (_v("x"),)), _repeated_add(_v("x"), k))
-        for k in range(p)
-    ]
-    return ops, idents
-
-
-_ADD_COMM = Identity("add-comm", _add(_v("x"), _v("y")), _add(_v("y"), _v("x")))
-
-
-def _comm_algebra(p: int) -> VarietyProfile:
-    sc, pins = _scalar_ops(p)
-    mul = lambda a, b: App("mul", (a, b))  # noqa: E731
-    idents = [
-        _ADD_COMM,
-        Identity("mul-assoc", mul(_v("x"), mul(_v("y"), _v("z"))), mul(mul(_v("x"), _v("y")), _v("z"))),
-    ] + pins
-    return make_profile(f"comm-algebra-f{p}", [("mul", "mul")], sc, idents)
-
-
-def _lie(p: int) -> VarietyProfile:
-    sc, pins = _scalar_ops(p)
-    br = lambda a, b: App("bracket", (a, b))  # noqa: E731
-    jacobi = _add(
-        br(_v("x"), br(_v("y"), _v("z"))),
-        _add(br(_v("y"), br(_v("z"), _v("x"))), br(_v("z"), br(_v("x"), _v("y")))),
-    )
-    idents = [
-        _ADD_COMM,
-        Identity("antisym", br(_v("x"), _v("y")), App("neg", (br(_v("y"), _v("x")),))),
-        Identity("jacobi", jacobi, Zero()),
-    ] + pins
-    return make_profile(
-        f"lie-f{p}", [("bracket", "bracketop"), ("bracketop", "bracket")], sc, idents
-    )
-
-
-def _leibniz(p: int) -> VarietyProfile:
-    sc, pins = _scalar_ops(p)
-    br = lambda a, b: App("bracket", (a, b))  # noqa: E731
+# family -> (primes p, star symbols with their opposites, identity rows);
+# _family puts add-comm first and the scalar pins last
+_FAMILIES = {
+    "comm-algebra": ((2, 3, 5), [("mul", "mul")], [
+        ("mul-assoc", "(mul x (mul y z)) = (mul (mul x y) z)"),
+    ]),
+    "lie": ((3, 5), [("bracket", "bracketop"), ("bracketop", "bracket")], [
+        ("antisym", "(bracket x y) = (neg (bracket y x))"),
+        ("jacobi", "(add (bracket x (bracket y z)) "
+                   "(add (bracket y (bracket z x)) (bracket z (bracket x y)))) = 0"),
+    ]),
     # right Leibniz identity: [[x,y],z] = [[x,z],y] + [x,[y,z]]
-    idents = [
-        _ADD_COMM,
-        Identity(
-            "leibniz",
-            br(br(_v("x"), _v("y")), _v("z")),
-            _add(br(br(_v("x"), _v("z")), _v("y")), br(_v("x"), br(_v("y"), _v("z")))),
-        ),
-    ] + pins
-    return make_profile(
-        f"leibniz-f{p}", [("bracket", "bracketop"), ("bracketop", "bracket")], sc, idents
-    )
+    "leibniz": ((2, 3), [("bracket", "bracketop"), ("bracketop", "bracket")], [
+        ("leibniz", "(bracket (bracket x y) z) = "
+                    "(add (bracket (bracket x z) y) (bracket x (bracket y z)))"),
+    ]),
+    "dialgebra": ((2,), [("lprod", "lprodop"), ("lprodop", "lprod"),
+                         ("rprod", "rprodop"), ("rprodop", "rprod")], [
+        ("dialg-1", "(lprod x (lprod y z)) = (lprod (lprod x y) z)"),
+        ("dialg-2", "(lprod x (rprod y z)) = (lprod (lprod x y) z)"),
+        ("dialg-3", "(lprod (rprod x y) z) = (rprod x (lprod y z))"),
+        ("dialg-4", "(rprod (lprod x y) z) = (rprod (rprod x y) z)"),
+        ("dialg-5", "(rprod x (rprod y z)) = (rprod (rprod x y) z)"),
+    ]),
+}
 
 
-def _dialgebra(p: int) -> VarietyProfile:
-    sc, pins = _scalar_ops(p)
-    lp = lambda a, b: App("lprod", (a, b))  # noqa: E731
-    rp = lambda a, b: App("rprod", (a, b))  # noqa: E731
-    x, y, z = _v("x"), _v("y"), _v("z")
-    idents = [
-        _ADD_COMM,
-        Identity("dialg-1", lp(x, lp(y, z)), lp(lp(x, y), z)),
-        Identity("dialg-2", lp(x, rp(y, z)), lp(lp(x, y), z)),
-        Identity("dialg-3", lp(rp(x, y), z), rp(x, lp(y, z))),
-        Identity("dialg-4", rp(lp(x, y), z), rp(rp(x, y), z)),
-        Identity("dialg-5", rp(x, rp(y, z)), rp(rp(x, y), z)),
-    ] + pins
-    return make_profile(
-        f"dialgebra-f{p}",
-        [("lprod", "lprodop"), ("lprodop", "lprod"), ("rprod", "rprodop"), ("rprodop", "rprod")],
-        sc,
-        idents,
-    )
+def _family(name: str, p: int) -> VarietyProfile:
+    """The family's profile over F_p; scalar sk is pinned to x added k times."""
+    _, stars, rows = _FAMILIES[name]
+    sums = ["0", "x"]
+    while len(sums) < p:
+        sums.append(f"(add {sums[-1]} x)")
+    rows = [("add-comm", "(add x y) = (add y x)"), *rows]
+    rows += [(f"scalar-s{k}", f"(s{k} x) = {t}") for k, t in enumerate(sums[:p])]
+    scalars = [(f"s{k}", "S") for k in range(p)]
+    return make_profile(f"{name}-f{p}", stars, scalars, [parse_identity(*r) for r in rows])
 
 
 def builtin_profiles() -> dict[str, VarietyProfile]:
     out = [make_profile("group", [], [], [])]
-    out += [_comm_algebra(p) for p in (2, 3, 5)]
-    out += [_lie(p) for p in (3, 5)]
-    out += [_leibniz(p) for p in (2, 3)]
-    out += [_dialgebra(2)]
+    out += [_family(name, p) for name, (primes, _, _) in _FAMILIES.items() for p in primes]
     return {p.name: p for p in out}
 
 

@@ -7,7 +7,9 @@ list through the compiled law engine of :mod:`terms`; every law is an
 equational identity, so any reported witness can be re-evaluated by the
 independent interpreter (see :func:`evaluate_law`).
 
-Core laws, per profile:
+The laws are written as ``(name, "lhs = rhs")`` rows, one per star or
+unary symbol where they mention one, and parsed once per profile by
+:func:`structure_laws`. Core laws, per profile:
 
 * group laws for (carrier, add, neg, zero),
 * left distributivity of every star symbol over add (the right-hand
@@ -30,7 +32,7 @@ from typing import Mapping, Sequence
 from .errors import ClosureError, StructuralError
 from .profiles import VarietyProfile
 from .report import CheckItem, Report, check
-from .terms import App, Equation, Identity, Law, Var, Zero, eval_term
+from .terms import Equation, Identity, Law, eval_term, parse_identity
 
 Table1 = tuple[int, ...]
 Table2 = tuple[Table1, ...]
@@ -172,41 +174,34 @@ def make_structure(
 # law lists
 
 
-def _group_laws() -> list[Identity]:
-    x, y, z = Var("x"), Var("y"), Var("z")
-    a = lambda p, q: App("add", (p, q))  # noqa: E731
-    return [
-        Identity("add-assoc", a(a(x, y), z), a(x, a(y, z))),
-        Identity("add-zero-left", a(Zero(), x), x),
-        Identity("add-zero-right", a(x, Zero()), x),
-        Identity("add-neg-right", a(x, App("neg", (x,))), Zero()),
-        Identity("add-neg-left", a(App("neg", (x,)), x), Zero()),
-    ]
+_GROUP_LAWS = (
+    ("add-assoc", "(add (add x y) z) = (add x (add y z))"),
+    ("add-zero-left", "(add 0 x) = x"),
+    ("add-zero-right", "(add x 0) = x"),
+    ("add-neg-right", "(add x (neg x)) = 0"),
+    ("add-neg-left", "(add (neg x) x) = 0"),
+)
 
 
+@functools.lru_cache(maxsize=None)
 def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Identity, ...]:
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
-    a = lambda p, q: App("add", (p, q))  # noqa: E731
-    laws = _group_laws()
-    for sym in profile.binary_symbols():
-        s = lambda p, q: App(sym, (p, q))  # noqa: B023,E731
-        laws.append(Identity(f"distrib[{sym}]", s(x, a(y, z)), a(s(x, y), s(x, z))))
+    stars = profile.binary_symbols()
+    rows = list(_GROUP_LAWS)
+    rows += [(f"distrib[{s}]", f"({s} x (add y z)) = (add ({s} x y) ({s} x z))") for s in stars]
     for u in profile.unary:
-        o = lambda p: App(u.symbol, (p,))  # noqa: B023,E731
-        laws.append(Identity(f"unary-add[{u.symbol}]", o(a(x, y)), a(o(x), o(y))))
-        for sym in profile.binary_symbols():
-            s = lambda p, q: App(sym, (p, q))  # noqa: B023,E731
-            rhs = s(o(x), y) if u.kind == "S" else s(o(x), o(y))
-            laws.append(Identity(f"unary-star[{u.symbol},{sym}]", o(s(x, y)), rhs))
-    for sym in profile.binary_symbols():
-        s = lambda p, q: App(sym, (p, q))  # noqa: B023,E731
-        laws.append(Identity(f"central[{sym}]", a(w, s(x, y)), a(s(x, y), w)))
-    for sym in profile.primary_binary_symbols():
-        opp = profile.opposite_of(sym)
-        laws.append(Identity(f"opposite[{sym}]", App(sym, (x, y)), App(opp, (y, x))))
+        o = u.symbol
+        rows.append((f"unary-add[{o}]", f"({o} (add x y)) = (add ({o} x) ({o} y))"))
+        for s in stars:
+            rhs = f"({s} ({o} x) y)" if u.kind == "S" else f"({s} ({o} x) ({o} y))"
+            rows.append((f"unary-star[{o},{s}]", f"({o} ({s} x y)) = {rhs}"))
+    rows += [(f"central[{s}]", f"(add w ({s} x y)) = (add ({s} x y) w)") for s in stars]
+    rows += [
+        (f"opposite[{s}]", f"({s} x y) = ({profile.opposite_of(s)} y x)")
+        for s in profile.primary_binary_symbols()
+    ]
+    laws = [parse_identity(*row) for row in rows]
     if not core_only:
-        for ident in profile.identities:
-            laws.append(Identity(f"id[{ident.name}]", ident.lhs, ident.rhs))
+        laws += [Identity(f"id[{i.name}]", i.lhs, i.rhs) for i in profile.identities]
     return tuple(laws)
 
 

@@ -121,6 +121,12 @@ def _parse_one(toks: list[tuple[str, int]], pos: int) -> tuple[Term, int]:
         args.append(arg)
 
 
+def parse_identity(name: str, equation: str) -> Identity:
+    """The identity called name, from ``"lhs = rhs"``."""
+    lhs, rhs = equation.split(" = ")
+    return Identity(name, parse_term(lhs), parse_term(rhs))
+
+
 def format_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -232,9 +238,9 @@ def law_table(rows, symbols: Sequence[str] = (), unaries: Sequence[str] = ()) ->
         for s in symbols if "{sym}" in text else unaries if "{un}" in text else ("",):
             fields = [f.replace("{sym}", s).replace("{un}", s) for f in row]
             name, variables, equation, sort, detail, when = fields
-            lhs, rhs = equation.split(" = ")
+            eq = parse_identity(name, equation)
             guard = parse_term(when) if when else None
-            e = Equation(parse_term(lhs), parse_term(rhs), sort, detail, guard)
+            e = Equation(eq.lhs, eq.rhs, sort, detail, guard)
             if laws and laws[-1].name == name:
                 laws[-1] = Law(name, laws[-1].variables, laws[-1].equations + (e,))
                 continue

@@ -353,7 +353,7 @@ def xmod_equalizer(
 # morphism search and universal properties
 
 
-def _top_search(dom: CrossedModule, cod: CrossedModule, bottoms, name, iso=False, keep=None):
+def _top_search(dom: CrossedModule, cod: CrossedModule, bottoms, name, keep=None):
     """Morphisms over the bottoms, bottom-major, named name(k): under a bottom,
     a top generator g only goes into the fibre of cbnd over bot(dbnd g) (the
     square law at g) where keep(g, y) holds."""
@@ -363,7 +363,7 @@ def _top_search(dom: CrossedModule, cod: CrossedModule, bottoms, name, iso=False
         return [y for y in ys if cbnd[y] == bot[dbnd[g]] and (keep is None or keep(g, y))]
 
     holds = law_filter(*_square_env(dom, cod), "bot", "top")
-    pairs = _pinned_pairs(dom.c1, cod.c1, bottoms, pin, holds, iso)
+    pairs = _pinned_pairs(dom.c1, cod.c1, bottoms, pin, holds)
     return [
         XModMorphism(name(k), dom, cod, Morphism(f"top_{name(k)}", dom.c1, cod.c1, top), bot)
         for k, (bot, top) in enumerate(pairs)
@@ -403,7 +403,7 @@ def find_xmod_isomorphism(
         return None
     _search_guard(a.c1, b.c1, max_size)
     bottoms = [f for f in enumerate_morphisms(a.c0, b.c0, max_size) if _bijective(f)]
-    isos = _top_search(a, b, bottoms, lambda k: f"iso_{a.name}_{b.name}", iso=True)
+    isos = _top_search(a, b, bottoms, lambda k: f"iso_{a.name}_{b.name}")
     return next((f for f in isos if _bijective(f.top)), None)
 
 
@@ -446,30 +446,33 @@ def verify_universal_cone(
         leg_levels = ()
     else:
         raise StructuralError(f"unknown cone kind {kind!r}")
+    # the testers are guarded above; the searches from the candidate
+    # (initial) keep at least the default search guard
+    size = max(max_size, DEFAULT_MAX_SIZE)
     items: list[CheckItem] = []
     for t in testers:
         if kind == "terminal":
-            cones, mediators = [()], enumerate_slice_morphisms(t, candidate)
+            cones, mediators = [()], enumerate_slice_morphisms(t, candidate, size)
         elif kind == "initial":
-            cones, mediators = [()], enumerate_slice_morphisms(candidate, t)
+            cones, mediators = [()], enumerate_slice_morphisms(candidate, t, size)
         elif kind == "equalizer":
             cones = [
                 (u.top.map, u.bottom.map)
-                for u in enumerate_xmod_morphisms(t, f.dom)
+                for u in enumerate_xmod_morphisms(t, f.dom, size)
                 if compose(f.top, u.top).map == compose(g.top, u.top).map
                 and compose(f.bottom, u.bottom).map == compose(g.bottom, u.bottom).map
             ]
-            mediators = enumerate_xmod_morphisms(t, candidate)
+            mediators = enumerate_xmod_morphisms(t, candidate, size)
         else:
-            into_a = enumerate_slice_morphisms(t, p1.cod)
-            into_b = enumerate_slice_morphisms(t, p2.cod)
+            into_a = enumerate_slice_morphisms(t, p1.cod, size)
+            into_b = enumerate_slice_morphisms(t, p2.cod, size)
             cones = [
                 (u.top.map, v.top.map)
                 for u in into_a
                 for v in into_b
                 if kind == "product" or compose(f.top, u.top).map == compose(g.top, v.top).map
             ]
-            mediators = enumerate_slice_morphisms(t, candidate)
+            mediators = enumerate_slice_morphisms(t, candidate, size)
         index = Counter(
             tuple([compose(leg, getattr(w, level)).map for leg, level in leg_levels])
             for w in mediators

@@ -43,6 +43,8 @@ from xmodkit.xmod import (
     XModMorphism,
     find_xmod_isomorphism,
     make_xmod,
+    slice_initial,
+    slice_terminal,
     verify_xmod,
     verify_xmod_morphism,
 )
@@ -565,6 +567,23 @@ def test_square_check_27_element_split_carrier(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "PASS isomorphic" in out
     assert out.splitlines()[-1] == "RESULT PASS square xm_ideal_f3x along id_f3x"
+
+
+def test_check_universal_max_size_reaches_the_searches(tmp_path, capsys):
+    z16 = make_cyclic(16)
+    save_xmod(slice_terminal(z16), tmp_path / "term_z16.mci")
+    save_xmod(slice_initial(z16), tmp_path / "init_z16.mci")
+    term, init = str(tmp_path / "term_z16.mci"), str(tmp_path / "init_z16.mci")
+    args = ("check-universal", "terminal", term, "--testers", term, init)
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == "ERROR universal cone tester term_z16 exceeds guard 8\n"
+
+    code, out, err = run(capsys, *args, "--max-size", "16")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS mediator[term_z16]", "PASS mediator[init_z16]", "RESULT PASS terminal cone term_z16"
+    ]
 
 
 def test_construction_output_is_byte_stable(tmp_path, capsys):

@@ -253,12 +253,12 @@ def _drop_last(monkeypatch, only_from_several: bool):
     for module in (xmodkit.xmod, xmodkit.cat1):
         search = module._pinned_pairs
 
-        def lossy(a, b, lowers, pin, holds, rule, first=(), search=search):
+        def lossy(a, b, lowers, pin, holds, first=(), search=search):
             def pin_less(low, g, ys):
                 kept = pin(low, g, ys)
                 return kept if only_from_several and len(kept) < 2 else kept[:-1]
 
-            return search(a, b, lowers, pin_less, holds, rule, first)
+            return search(a, b, lowers, pin_less, holds, first)
 
         monkeypatch.setattr(module, "_pinned_pairs", lossy)
 

@@ -1,13 +1,20 @@
 """Term language and profile registry tests.
 
 Expected values here are frozen from hand evaluation over small mod-n
-tables computed independently in the tests themselves.
+tables computed independently in the tests themselves. The law lists of
+every builtin profile are pinned in ``tests/data/structure_laws.txt``;
+regenerate it with
+
+    PYTHONPATH=src python tests/test_terms_profiles.py > tests/data/structure_laws.txt
+
+only when a law is meant to change.
 """
 
 import gc
 import importlib
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +30,9 @@ from xmodkit.terms import (
     term_vars,
 )
 from xmodkit.profiles import builtin_profiles, get_profile, make_profile
-from xmodkit.structures import make_structure
+from xmodkit.structures import make_structure, structure_laws
+
+LISTING = Path(__file__).parent / "data" / "structure_laws.txt"
 
 
 def _z4():
@@ -166,3 +175,33 @@ def test_reimport_releases_previous_package():
         for name in _package_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def law_listing() -> str:
+    """Every builtin profile's identities, then its structure laws with
+    and without them, as ``name: lhs = rhs`` lines in order."""
+    lines = []
+    for name, p in builtin_profiles().items():
+        for title, laws in (
+            ("identities", p.identities),
+            ("structure_laws", structure_laws(p, False)),
+            ("structure_laws core_only", structure_laws(p, True)),
+        ):
+            lines.append(f"# {name} {title}")
+            lines += [f"{i.name}: {format_term(i.lhs)} = {format_term(i.rhs)}" for i in laws]
+    return "\n".join(lines) + "\n"
+
+
+def test_structure_laws_are_parsed_once_per_profile():
+    # evaluate_law reads them for every witness it re-checks
+    for p in builtin_profiles().values():
+        for core_only in (False, True):
+            assert structure_laws(p, core_only) is structure_laws(p, core_only)
+
+
+def test_law_listing_is_byte_identical():
+    assert law_listing() == LISTING.read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(law_listing())
