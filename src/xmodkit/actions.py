@@ -12,11 +12,11 @@ product's add rows made only at those values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import StructuralError
 from .morphisms import compose, is_morphism, kernel
+from .records import Record
 from .report import CheckItem, Report, check
 from .structures import (
     Morphism,
@@ -31,8 +31,7 @@ from .structures import (
 from .terms import first_violation, law_table
 
 
-@dataclass(frozen=True)
-class DerivedAction:
+class DerivedAction(Record):
     name: str
     actor: Structure
     acted: Structure

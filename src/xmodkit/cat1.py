@@ -10,7 +10,6 @@ the roundtrips are exercised in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .actions import action_from_section, semidirect_product
@@ -27,14 +26,14 @@ from .morphisms import (
     kernel,
     morphism_report,
 )
+from .records import Record
 from .report import CheckItem, Report, check, merge_pre
 from .structures import Morphism, Structure, carrier, operations, verify_structure
 from .terms import law_filter, law_table
 from .xmod import CrossedModule, XModMorphism, make_xmod
 
 
-@dataclass(frozen=True)
-class Cat1Object:
+class Cat1Object(Record):
     name: str
     embed: Morphism
     src: Morphism
@@ -49,8 +48,7 @@ class Cat1Object:
         return self.embed.dom
 
 
-@dataclass(frozen=True)
-class Cat1Morphism:
+class Cat1Morphism(Record):
     name: str
     dom: Cat1Object
     cod: Cat1Object

@@ -19,6 +19,14 @@ table. ``check-universal`` and ``square-check`` have their own bodies.
 Every command loads its files through one ``io.load`` memo, so each file
 is read once and every reference to it is one object.
 
+Importing this module loads only ``io`` (with the structure layer below
+it) and ``morphisms``, whose size guards are the parser's defaults. Both
+tables name their layer functions as ``"layer.function"`` and import
+the layer when a command calls it, as ``io`` does for the parsers and
+savers of the other kinds: ``verify`` of a structure file loads no
+actions, xmod, cat1, limits or pullbacks code, and ``check-xmod`` loads
+no cat1 or pullbacks code.
+
 Unreadable or malformed files, size-guard trips, and other structural
 problems print an ERROR line to stderr and exit 2.
 """
@@ -26,45 +34,15 @@ problems print an ERROR line to stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .actions import DerivedAction, check_derived_action, semidirect_product
-from .cat1 import Cat1Object, cat1_to_xmod, verify_cat1, xmod_to_cat1
+from . import io
 from .errors import IncompatibleActionError, XmodkitError
-from .io import (
-    load,
-    save_action,
-    save_cat1,
-    save_morphism,
-    save_structure,
-    save_xmod,
-    save_xmodmorphism,
-    serialize_action,
-    serialize_cat1,
-    serialize_morphism,
-    serialize_structure,
-    serialize_xmod,
-    serialize_xmodmorphism,
-)
-from .limits import direct_product, equalizer, fiber_product
-from .morphisms import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, morphism_report
-from .pullbacks import pullback_cat1, pullback_xmod, square_commutes
+from .morphisms import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE
 from .report import Report
-from .structures import Morphism, Structure, verify_structure
-from .xmod import (
-    CrossedModule,
-    XModMorphism,
-    slice_initial,
-    slice_product,
-    slice_pullback,
-    slice_terminal,
-    verify_universal_cone,
-    verify_xmod,
-    verify_xmod_morphism,
-    xmod_equalizer,
-)
 
 
 class _Kind(NamedTuple):
@@ -73,31 +51,44 @@ class _Kind(NamedTuple):
     save: Callable[[Any, Any], None]
 
 
-# Both tables are built at call time, so a wrapper bound to one of these
-# names after import (bench/tracer.py wraps each layer so) is the one used.
+def _fn(path: str) -> Callable:
+    """The function named by "layer.function", its layer imported now.
+
+    Both tables name their functions so and resolve them at call time:
+    a command imports only the layers it runs, and a wrapper bound to a
+    layer function after import (bench/tracer.py wraps each layer so) is
+    the one used.
+    """
+    layer, name = path.split(".")
+    return getattr(importlib.import_module(f".{layer}", __package__), name)
+
+
+# object type name -> (its verifier, its io kind: serialize_<kind>, save_<kind>)
+_KINDS = {
+    "Structure": ("structures.verify_structure", "structure"),
+    "Morphism": ("morphisms.morphism_report", "morphism"),
+    "DerivedAction": ("actions.check_derived_action", "action"),
+    "CrossedModule": ("xmod.verify_xmod", "xmod"),
+    "XModMorphism": ("xmod.verify_xmod_morphism", "xmodmorphism"),
+    "Cat1Object": ("cat1.verify_cat1", "cat1"),
+}
 
 
 def _kind(obj) -> _Kind:
-    """The kind table: object type -> (verifier, serializer, saver)."""
-    return {
-        Structure: _Kind(verify_structure, serialize_structure, save_structure),
-        Morphism: _Kind(morphism_report, serialize_morphism, save_morphism),
-        DerivedAction: _Kind(check_derived_action, serialize_action, save_action),
-        CrossedModule: _Kind(verify_xmod, serialize_xmod, save_xmod),
-        XModMorphism: _Kind(verify_xmod_morphism, serialize_xmodmorphism, save_xmodmorphism),
-        Cat1Object: _Kind(verify_cat1, serialize_cat1, save_cat1),
-    }[type(obj)]
+    """The kind table row of obj's type: (verifier, serializer, saver)."""
+    verify, kind = _KINDS[type(obj).__name__]
+    return _Kind(_fn(verify), getattr(io, f"serialize_{kind}"), getattr(io, f"save_{kind}"))
 
 
-def _with_legs(make: Callable, *suffixes: str) -> Callable:
-    """A build from a constructor returning (object, leg, ...).
+def _with_legs(make: str, *suffixes: str) -> Callable:
+    """A build from the constructor make ("layer.function") returning (object, leg, ...).
 
     The legs named by suffixes, in order, are saved under -o; any further
     results are dropped.
     """
 
     def build(*inputs):
-        obj, *legs = make(*inputs)
+        obj, *legs = _fn(make)(*inputs)
         return obj, tuple(list(zip(suffixes, legs)))
 
     return build
@@ -110,28 +101,31 @@ def _constructions() -> dict:
     returns the object and its (suffix, leg) pairs.
     """
     return {
-        "semidirect": (("action",), _with_legs(semidirect_product)),
-        "to-cat1": (("xmod",), lambda xm: (xmod_to_cat1(xm), ())),
-        "to-xmod": (("cat1",), lambda c: (cat1_to_xmod(c), ())),
-        "limit product": (("structure", "structure"), _with_legs(direct_product)),
-        "limit pullback": (("morphism", "morphism"), _with_legs(fiber_product)),
+        "semidirect": (("action",), _with_legs("actions.semidirect_product")),
+        "to-cat1": (("xmod",), lambda xm: (_fn("cat1.xmod_to_cat1")(xm), ())),
+        "to-xmod": (("cat1",), lambda c: (_fn("cat1.cat1_to_xmod")(c), ())),
+        "limit product": (("structure", "structure"), _with_legs("limits.direct_product")),
+        "limit pullback": (("morphism", "morphism"), _with_legs("limits.fiber_product")),
         "limit equalizer": (
             ("morphism", "morphism"),
-            lambda f, g: (equalizer(f, g).induced, ()),
+            lambda f, g: (_fn("limits.equalizer")(f, g).induced, ()),
         ),
-        "limit slice-terminal": (("structure",), lambda x: (slice_terminal(x), ())),
-        "limit slice-initial": (("structure",), lambda x: (slice_initial(x), ())),
-        "limit slice-product": (("xmod", "xmod"), _with_legs(slice_product, "fst", "snd")),
+        "limit slice-terminal": (("structure",), lambda x: (_fn("xmod.slice_terminal")(x), ())),
+        "limit slice-initial": (("structure",), lambda x: (_fn("xmod.slice_initial")(x), ())),
+        "limit slice-product": (
+            ("xmod", "xmod"),
+            _with_legs("xmod.slice_product", "fst", "snd"),
+        ),
         "limit slice-pullback": (
             ("xmodmorphism", "xmodmorphism"),
-            _with_legs(slice_pullback, "fst", "snd"),
+            _with_legs("xmod.slice_pullback", "fst", "snd"),
         ),
         "limit slice-equalizer": (
             ("xmodmorphism", "xmodmorphism"),
-            _with_legs(xmod_equalizer, "incl"),
+            _with_legs("xmod.xmod_equalizer", "incl"),
         ),
-        "pullback-xmod": (("xmod", "morphism"), _with_legs(pullback_xmod, "proj")),
-        "pullback-cat1": (("cat1", "morphism"), _with_legs(pullback_cat1)),
+        "pullback-xmod": (("xmod", "morphism"), _with_legs("pullbacks.pullback_xmod", "proj")),
+        "pullback-cat1": (("cat1", "morphism"), _with_legs("pullbacks.pullback_cat1")),
     }
 
 
@@ -141,7 +135,7 @@ def _finish(report: Report) -> int:
 
 
 def _check(args) -> int:
-    obj = load(args.file, args.file_kind)[1]
+    obj = io.load(args.file, args.file_kind)[1]
     return _finish(_kind(obj).verify(obj))
 
 
@@ -159,7 +153,7 @@ def _construct(args) -> int:
     if len(paths) != len(kinds):  # only limit takes a variable file count
         raise XmodkitError(f"{key} takes {len(kinds)} file(s), got {len(paths)}")
     loaded: dict = {}
-    inputs = [load(path, kind, loaded)[1] for kind, path in zip(kinds, paths)]
+    inputs = [io.load(path, kind, loaded)[1] for kind, path in zip(kinds, paths)]
     for x in inputs:
         report = _kind(x).verify(x)
         if not report.ok:
@@ -179,14 +173,14 @@ def _cmd_check_universal(args) -> int:
     loaded: dict = {}
 
     def each(kind: str, paths) -> tuple:
-        return tuple([load(path, kind, loaded)[1] for path in paths])
+        return tuple([io.load(path, kind, loaded)[1] for path in paths])
 
-    candidate = load(args.candidate, "xmod", loaded)[1]
+    candidate = io.load(args.candidate, "xmod", loaded)[1]
     legs = each("xmodmorphism", args.legs)
     testers = each("xmod", args.testers)
     parallel = each("xmodmorphism", args.parallel) if args.parallel else None
     return _finish(
-        verify_universal_cone(
+        _fn("xmod.verify_universal_cone")(
             args.kind, candidate, legs, testers, parallel, max_size=args.max_size
         )
     )
@@ -194,9 +188,9 @@ def _cmd_check_universal(args) -> int:
 
 def _cmd_square_check(args) -> int:
     loaded: dict = {}
-    x = load(args.xmod, "xmod", loaded)[1]
-    phi = load(args.along, "morphism", loaded)[1]
-    return _finish(square_commutes(x, phi, max_size=args.max_size))
+    x = io.load(args.xmod, "xmod", loaded)[1]
+    phi = io.load(args.along, "morphism", loaded)[1]
+    return _finish(_fn("pullbacks.square_commutes")(x, phi, max_size=args.max_size))
 
 
 # ---------------------------------------------------------------------------

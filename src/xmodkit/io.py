@@ -10,6 +10,11 @@ All reads go through ``_read_text`` (non-UTF-8 input is an error) and
 all loads through ``load``, whose memo lets a command read each file
 once and share one object between every reference to it.
 
+Only the structure layer is imported with this module. The parsers and
+savers of the other kinds import the layer they use (actions, xmod,
+cat1, limits) when they run, so reading a structure file loads none of
+those.
+
 Serialization is canonical: single spaces, tables in carrier order, one
 trailing newline, only primary star tables for structures (opposites are
 transposed on load) but all star tables for actions, where the two
@@ -20,15 +25,16 @@ serialize(parse(text)) reproduces canonical text byte for byte.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .actions import DerivedAction, make_action
-from .cat1 import Cat1Object, make_cat1
 from .errors import ParseError, StructuralError
-from .limits import same_structure
 from .profiles import get_profile
 from .structures import Morphism, Structure, make_structure
-from .xmod import CrossedModule, XModMorphism, make_xmod
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .actions import DerivedAction
+    from .cat1 import Cat1Object
+    from .xmod import CrossedModule, XModMorphism
 
 
 def _rows(text: str):
@@ -214,6 +220,8 @@ def _read_action(c: _Cursor, actor: Structure, acted: Structure):
 
 
 def parse_action(text: str, loader) -> DerivedAction:
+    from .actions import make_action
+
     c = _Cursor(text)
     name = _take_name(c, "action")
     actor = _take_ref(c, "actor", loader)
@@ -223,6 +231,9 @@ def parse_action(text: str, loader) -> DerivedAction:
 
 
 def parse_xmod(text: str, loader) -> CrossedModule:
+    from .actions import make_action
+    from .xmod import make_xmod
+
     c = _Cursor(text)
     name = _take_name(c, "xmod")
     c1 = _take_ref(c, "c1", loader)
@@ -236,6 +247,8 @@ def parse_xmod(text: str, loader) -> CrossedModule:
 
 
 def parse_xmodmorphism(text: str, loader) -> XModMorphism:
+    from .xmod import XModMorphism
+
     c = _Cursor(text)
     name = _take_name(c, "xmodmorphism")
     dom = _take_ref(c, "dom", loader)
@@ -255,6 +268,8 @@ def parse_xmodmorphism(text: str, loader) -> XModMorphism:
 
 
 def parse_cat1(text: str, loader) -> Cat1Object:
+    from .cat1 import make_cat1
+
     c = _Cursor(text)
     name = _take_name(c, "cat1")
     big = _take_ref(c, "big", loader)
@@ -455,6 +470,8 @@ def _write_named(path: Path, text: str) -> None:
 
 
 def _write_structures(dirpath: Path, structs) -> None:
+    from .limits import same_structure
+
     seen: dict[str, Structure] = {}
     for s in structs:
         _check_token(s.name)
@@ -492,6 +509,8 @@ def save_xmod(xm: CrossedModule, path) -> None:
 
 
 def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
+    from .limits import same_structure
+
     return (
         same_structure(a.c1, b.c1)
         and same_structure(a.c0, b.c0)

@@ -14,29 +14,26 @@ repeated addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import StructuralError
+from .records import Record
 from .terms import Identity, parse_identity, term_ops
 
 RESERVED = ("add", "neg", "0")
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(Record):
     symbol: str
     opposite: str
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+class UnaryOp(Record):
     symbol: str
     kind: str  # "S": w(x*y) = w(x)*y, "D": w(x*y) = w(x)*w(y)
 
 
-@dataclass(frozen=True)
-class VarietyProfile:
+class VarietyProfile(Record):
     name: str
     binary: tuple[BinaryOp, ...]
     unary: tuple[UnaryOp, ...]
@@ -166,19 +163,30 @@ def _family(name: str, p: int) -> VarietyProfile:
     return make_profile(f"{name}-f{p}", stars, scalars, [parse_identity(*r) for r in rows])
 
 
+_BUILTIN_NAMES = ("group",) + tuple(
+    [f"{name}-f{p}" for name, (primes, _, _) in _FAMILIES.items() for p in primes]
+)
+
+
+def _builtin(name: str) -> VarietyProfile:
+    """The builtin profile called name: group, or a family member <family>-f<p>."""
+    if name == "group":
+        return make_profile("group", [], [], [])
+    family, p = name.rsplit("-f", 1)
+    return _family(family, int(p))
+
+
 def builtin_profiles() -> dict[str, VarietyProfile]:
-    out = [make_profile("group", [], [], [])]
-    out += [_family(name, p) for name, (primes, _, _) in _FAMILIES.items() for p in primes]
-    return {p.name: p for p in out}
+    return {name: _builtin(name) for name in _BUILTIN_NAMES}
 
 
-_BUILTINS: dict[str, VarietyProfile] | None = None
+_BUILTINS: dict[str, VarietyProfile] = {}
 
 
 def get_profile(name: str) -> VarietyProfile:
-    global _BUILTINS
-    if _BUILTINS is None:
-        _BUILTINS = builtin_profiles()
-    if name not in _BUILTINS:
+    """The builtin profile called name, built on its first lookup."""
+    if name not in _BUILTIN_NAMES:
         raise StructuralError(f"unknown profile {name!r}")
+    if name not in _BUILTINS:
+        _BUILTINS[name] = _builtin(name)
     return _BUILTINS[name]

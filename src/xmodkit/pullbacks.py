@@ -13,7 +13,6 @@ isomorphism search.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .actions import restrict_action
@@ -29,6 +28,7 @@ from .cat1 import (
 from .errors import StructuralError
 from .limits import fiber_product, same_structure
 from .morphisms import DEFAULT_MAX_SIZE, _search_guard, enumerate_morphisms, is_morphism
+from .records import replace
 from .report import CheckItem, Report, merge_pre
 from .structures import Morphism, _Restriction, restricted_product
 from .xmod import (

@@ -9,14 +9,13 @@ same report twice is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from .records import Record
 from .terms import Law, Sorts, first_violation
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     law: str
     ok: bool
     witness: tuple[str, ...] = ()
@@ -33,10 +32,9 @@ class CheckItem:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     subject: str
-    items: tuple[CheckItem, ...] = field(default_factory=tuple)
+    items: tuple[CheckItem, ...] = ()
 
     @property
     def ok(self) -> bool:

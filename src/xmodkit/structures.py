@@ -25,12 +25,12 @@ Extra identities from the profile are checked after the core; passing
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ClosureError, StructuralError
 from .profiles import VarietyProfile
+from .records import Record
 from .report import CheckItem, Report, check
 from .terms import Equation, Identity, Law, eval_term, parse_identity
 
@@ -38,8 +38,7 @@ Table1 = tuple[int, ...]
 Table2 = tuple[Table1, ...]
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Record):
     name: str
     profile: VarietyProfile
     elements: tuple[str, ...]
@@ -67,16 +66,14 @@ class Structure:
         return self.add[self.add[i][j]][self.neg[i]]
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     name: str
     dom: Structure
     cod: Structure
     map: Table1
 
 
-@dataclass(frozen=True)
-class Subobject:
+class Subobject(Record):
     parent: Structure
     elements: tuple[int, ...]  # parent indices, ascending
     induced: Structure

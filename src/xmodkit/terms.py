@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import ParseError, StructuralError
+from .records import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Union
@@ -36,24 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover
     Term = Union["Var", "Zero", "App"]
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
     pass
 
 
-@dataclass(frozen=True)
-class App:
+class App(Record):
     op: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """An equational law lhs = rhs, quantified over its variables."""
 
     name: str
@@ -185,8 +181,7 @@ def eval_term(t: Term, s: "Structure", env: Mapping[str, int]) -> int:
 # the law engine
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """lhs = rhs; a FAIL detail names both sides by the ids of ``sort``.
 
     When ``when`` is given, the equation is only checked where that term
@@ -200,8 +195,7 @@ class Equation:
     when: Term | None = None
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     """Equations quantified over sorted variables, given in witness order.
 
     A sort is bound to (domain, ids): the index sequence its variables
@@ -256,11 +250,15 @@ def law_table(rows, symbols: Sequence[str] = (), unaries: Sequence[str] = ()) ->
 
 
 _SCANNERS: dict = {}  # law shape -> generated scanner
-_COMPILED: dict = {}  # law -> (scanner, sort of each variable, op names)
+# id(law) -> (scanner, sort of each variable, op names, law). Keyed by
+# identity, so a lookup never hashes or compares a law's term trees; the
+# entry keeps its law alive, so the id is not reused. Laws come from
+# cached tables, so the entries stay bounded.
+_COMPILED: dict = {}
 
 
 def _compiled(lw: Law):
-    hit = _COMPILED.get(lw)
+    hit = _COMPILED.get(id(lw))
     if hit is not None:
         return hit
     index = {v: i for i, (v, _) in enumerate(lw.variables)}
@@ -286,7 +284,7 @@ def _compiled(lw: Law):
     scan = _SCANNERS.get(key)
     if scan is None:
         scan = _SCANNERS[key] = _generate(*key)
-    hit = _COMPILED[lw] = (scan, tuple([s for _, s in lw.variables]), tuple(ops))
+    hit = _COMPILED[id(lw)] = (scan, tuple([s for _, s in lw.variables]), tuple(ops), lw)
     return hit
 
 
@@ -375,7 +373,7 @@ def first_violation(lw: Law, sorts: Sorts, ops: Mapping[str, object]):
     Returns (variable values, equation index, lhs, rhs), or None when
     the law holds everywhere.
     """
-    scan, var_sorts, op_names = _compiled(lw)
+    scan, var_sorts, op_names, _ = _compiled(lw)
     return scan(*[sorts[s][0] for s in var_sorts], *[ops[o] for o in op_names])
 
 
@@ -388,7 +386,7 @@ def law_filter(
     """
     bound = []
     for lw in laws:
-        scan, var_sorts, op_names = _compiled(lw)
+        scan, var_sorts, op_names, _ = _compiled(lw)
         args = [sorts[s][0] for s in var_sorts] + [ops.get(o) for o in op_names]
         slots = [(len(var_sorts) + i, free.index(o)) for i, o in enumerate(op_names) if o in free]
         bound.append((scan, args, slots))

@@ -10,7 +10,6 @@ do. Slice constructions keep one base fixed and only move the top level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .actions import (
@@ -33,6 +32,7 @@ from .morphisms import (
     identity_morphism,
     morphism_report,
 )
+from .records import Record
 from .report import CheckItem, Report, check, merge_pre
 from .structures import (
     Morphism,
@@ -46,8 +46,7 @@ from .structures import (
 from .terms import first_violation, law_filter, law_table
 
 
-@dataclass(frozen=True)
-class CrossedModule:
+class CrossedModule(Record):
     name: str
     boundary: Morphism
     action: DerivedAction
@@ -61,8 +60,7 @@ class CrossedModule:
         return self.boundary.cod
 
 
-@dataclass(frozen=True)
-class XModMorphism:
+class XModMorphism(Record):
     name: str
     dom: CrossedModule
     cod: CrossedModule

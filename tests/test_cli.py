@@ -8,6 +8,7 @@ ERROR line on stderr.
 """
 
 import argparse
+import os
 import shlex
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import xmodkit
 from xmodkit.actions import check_derived_action, conjugation_action, make_action
 from xmodkit.cat1 import make_cat1, verify_cat1
 from xmodkit import io
@@ -780,3 +782,45 @@ def test_golden_commands_read_each_loaded_file_once(tmp_path, monkeypatch, capsy
         capsys.readouterr()
         assert reads, line
         assert max(Counter(reads).values()) == 1, line
+
+
+# runs `python -m xmodkit ARGS`, then names every module it loaded on stderr
+_RUN_AND_LIST = """
+import runpy, sys
+try:
+    runpy.run_module("xmodkit", run_name="__main__")
+finally:
+    print(*sorted(sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, used, unused",
+    [
+        (
+            "verify z4.mci",
+            ("structures",),
+            ("actions", "xmod", "cat1", "limits", "pullbacks"),
+        ),
+        ("check-xmod xm_z2_z4.mci", ("actions", "xmod"), ("cat1", "pullbacks")),
+    ],
+)
+def test_commands_import_only_the_layers_they_run(command, used, unused):
+    golden = Path(__file__).resolve().parent.parent / "golden"
+    src = Path(xmodkit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def child(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=golden, env=env, capture_output=True, text=True
+        )
+
+    result = child("-c", _RUN_AND_LIST, *command.split())
+    assert result.returncode == 0 and "RESULT PASS" in result.stdout
+    # modules the interpreter's own start-up loads do not count
+    startup = child("-c", "import sys; print(*sys.modules)").stdout.split()
+    loaded = set(result.stderr.split()) - set(startup)
+    assert {f"xmodkit.{m}" for m in used} <= loaded
+    assert sorted(loaded & {f"xmodkit.{m}" for m in unused}) == []
+    if command.startswith("verify"):
+        assert sorted(loaded & {"dataclasses", "inspect"}) == []

@@ -5,14 +5,13 @@ recomputed inline (independent of the zoo constructors) and frozen
 expectations are asserted against them.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodkit.errors import ClosureError, StructuralError
 from xmodkit.profiles import get_profile
+from xmodkit.records import replace
 from xmodkit.structures import (
     evaluate_law,
     make_structure,
@@ -74,7 +73,7 @@ def test_z4_bad_entry_fails_with_genuine_witness():
     z4 = cyclic(4)
     add = [list(r) for r in z4.add]
     add[1][1] = 1  # spec example: add(1,1) = 1
-    bad = dataclasses.replace(z4, add=tuple(tuple(r) for r in add))
+    bad = replace(z4, add=tuple(tuple(r) for r in add))
     rep = verify_structure(bad)
     assert not rep.ok
     for item in rep.failures():
@@ -116,7 +115,7 @@ def test_commutativity_is_opposite_coherence():
     s = poly_f2()
     mul = [list(r) for r in s.star["mul"]]
     mul[1][2] = 0  # break symmetry: 1*x = 0 but x*1 = x
-    bad = dataclasses.replace(s, star={"mul": tuple(tuple(r) for r in mul)})
+    bad = replace(s, star={"mul": tuple(tuple(r) for r in mul)})
     rep = verify_structure(bad)
     assert not rep.ok
     assert any(f.law == "opposite[mul]" for f in rep.failures())
@@ -126,7 +125,7 @@ def test_unary_table_perturbation_caught():
     s = poly_f2()
     s1 = list(s.omega["s1"])
     s1[2] = 0  # s1 must stay the identity map
-    bad = dataclasses.replace(s, omega={"s0": s.omega["s0"], "s1": tuple(s1)})
+    bad = replace(s, omega={"s0": s.omega["s0"], "s1": tuple(s1)})
     rep = verify_structure(bad)
     assert not rep.ok
     for item in rep.failures():
@@ -217,13 +216,13 @@ def test_z4_perturbations_fail_honestly(which, i, j, v):
         if tab[i][j] == v:
             return
         tab[i][j] = v
-        bad = dataclasses.replace(z4, add=tuple(tuple(r) for r in tab))
+        bad = replace(z4, add=tuple(tuple(r) for r in tab))
     else:
         tab = list(z4.neg)
         if tab[i] == v:
             return
         tab[i] = v
-        bad = dataclasses.replace(z4, neg=tuple(tab))
+        bad = replace(z4, neg=tuple(tab))
     rep = verify_structure(bad)
     for item in rep.failures():
         assert not evaluate_law(bad, item.law, item.witness)

@@ -29,8 +29,9 @@ from xmodkit.terms import (
     parse_term,
     term_vars,
 )
+from xmodkit import profiles
 from xmodkit.profiles import builtin_profiles, get_profile, make_profile
-from xmodkit.structures import make_structure, structure_laws
+from xmodkit.structures import evaluate_law, make_structure, structure_laws, verify_structure
 
 LISTING = Path(__file__).parent / "data" / "structure_laws.txt"
 
@@ -150,6 +151,39 @@ def test_unknown_ops_in_identity_rejected():
 def test_unknown_profile_name():
     with pytest.raises(StructuralError):
         get_profile("no-such-profile")
+    # names that only look like a family member over F_p
+    for name in ("lie-f03", "lie-f2", "group-f2", "lie-f", "-f3", "lie"):
+        with pytest.raises(StructuralError, match=f"^unknown profile '{name}'$"):
+            get_profile(name)
+
+
+def test_get_profile_builds_only_the_named_profile(monkeypatch):
+    monkeypatch.setattr(profiles, "_BUILTINS", {})
+    p = get_profile("lie-f3")
+    assert list(profiles._BUILTINS) == ["lie-f3"]
+    assert get_profile("lie-f3") is p
+    builtins = builtin_profiles()
+    for name, expected in builtins.items():
+        assert get_profile(name) == expected and get_profile(name) is not expected
+    assert list(profiles._BUILTINS) == ["lie-f3"] + [n for n in builtins if n != "lie-f3"]
+
+
+def test_a_second_verify_hashes_no_term_tree(monkeypatch):
+    # the profile keys the structure-law caches and each law the compiled
+    # scanners; once a structure has been verified, neither lookup may walk
+    # the profile's or a law's term trees again
+    s = make_structure(
+        "dl", get_profile("dialgebra-f2"), ("0",), ((0,),), (0,),
+        {"lprod": ((0,),), "rprod": ((0,),)}, {"s0": (0,), "s1": (0,)},
+    )
+    assert verify_structure(s).ok
+    hashed = []
+    for cls in (App, Var, Zero):
+        original = cls.__hash__
+        monkeypatch.setattr(cls, "__hash__", lambda t, h=original: hashed.append(t) or h(t))
+    assert verify_structure(s).ok and verify_structure(s, core_only=True).ok
+    assert evaluate_law(s, "id[dialg-3]", ("0", "0", "0"))
+    assert hashed == []
 
 
 def _package_modules():
