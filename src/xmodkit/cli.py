@@ -19,13 +19,13 @@ table. ``check-universal`` and ``square-check`` have their own bodies.
 Every command loads its files through one ``io.load`` memo, so each file
 is read once and every reference to it is one object.
 
-Importing this module loads only ``io`` (with the structure layer below
-it) and ``morphisms``, whose size guards are the parser's defaults. Both
-tables name their layer functions as ``"layer.function"`` and import
-the layer when a command calls it, as ``io`` does for the parsers and
-savers of the other kinds: ``verify`` of a structure file loads no
-actions, xmod, cat1, limits or pullbacks code, and ``check-xmod`` loads
-no cat1 or pullbacks code.
+Importing this module loads only ``io`` and the structure layer below
+it; the size guards that are the parser's defaults live in ``errors``.
+Both tables name their layer functions as ``"layer.function"`` and
+import the layer when a command calls it, as ``io`` does for the parsers
+and savers of the other kinds: ``verify`` of a structure file loads no
+morphisms, actions, xmod, cat1, limits or pullbacks code, and
+``check-xmod`` loads no cat1 or pullbacks code.
 
 Unreadable or malformed files, size-guard trips, and other structural
 problems print an ERROR line to stderr and exit 2.
@@ -40,8 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import io
-from .errors import IncompatibleActionError, XmodkitError
-from .morphisms import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE
+from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, IncompatibleActionError, XmodkitError
 from .report import Report
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the default size guards behind SizeGuardError.
 
 StructuralError covers malformed input: bad table shapes, unknown ids,
 profile mismatches, parse errors. It is distinct from a *law failure*,
@@ -33,6 +33,11 @@ class ClosureError(StructuralError):
 
 class SizeGuardError(XmodkitError):
     """A carrier exceeded the configured size guard for this operation."""
+
+
+# default carrier guards: constructions and searches, and universal-cone testers
+DEFAULT_MAX_SIZE = 12
+UNIVERSAL_MAX_SIZE = 8
 
 
 class IncompatibleActionError(XmodkitError):

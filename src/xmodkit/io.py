@@ -4,16 +4,18 @@ A file holds one object. The first word of the first meaningful line
 names the kind: structure, morphism, action, xmod, xmodmorphism, cat1.
 Values are element ids, never indices, and compound objects reference
 their parts as sibling files (``dom z2.mci``). Blank lines and lines
-starting with ``#`` are skipped outside counted table rows.
+whose first word starts with ``#`` are skipped everywhere, so no element
+id starts with ``#``.
 
-All reads go through ``_read_text`` (non-UTF-8 input is an error) and
-all loads through ``load``, whose memo lets a command read each file
-once and share one object between every reference to it.
-
-Only the structure layer is imported with this module. The parsers and
-savers of the other kinds import the layer they use (actions, xmod,
-cat1, limits) when they run, so reading a structure file loads none of
-those.
+The kind table ``_KINDS`` gives each kind's reference rows; the parser
+and serializer heads, the savers and ``load`` read them from it. One
+predicate, ``_usable``, is the file-name rule on read and on write. A
+row of ids is read with one lookup over the row (``_ids``) and written
+with one join (``_row``). Every read goes through ``_read_text`` and
+every load through ``load``, whose memo reads each file once per command
+and shares one object between every reference to it. Only the structure
+layer is imported with this module; the other kinds' parsers and savers
+import their layer when they run.
 
 Serialization is canonical: single spaces, tables in carrier order, one
 trailing newline, only primary star tables for structures (opposites are
@@ -25,7 +27,7 @@ serialize(parse(text)) reproduces canonical text byte for byte.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError, StructuralError
 from .profiles import get_profile
@@ -35,6 +37,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from .actions import DerivedAction
     from .cat1 import Cat1Object
     from .xmod import CrossedModule, XModMorphism
+
+# kind -> (the kind of the sibling files it references, their keys in file
+# order); each key is also the attribute of the object that holds the part
+_KINDS = {
+    "structure": (None, ()),
+    "morphism": ("structure", ("dom", "cod")),
+    "action": ("structure", ("actor", "acted")),
+    "xmod": ("structure", ("c1", "c0")),
+    "xmodmorphism": ("xmod", ("dom", "cod")),
+    "cat1": ("structure", ("big", "base")),
+}
+
+
+def _usable(name: str) -> bool:
+    """Whether name can stand in a file: one token and a sibling file name."""
+    one_token = name.split() == [name]
+    return one_token and not name.startswith(".") and "/" not in name and "\\" not in name
 
 
 def _rows(text: str):
@@ -77,22 +96,22 @@ class _Cursor:
         self.after_end()
 
 
-def _lookup(idx: dict[str, int], token: str, line: int) -> int:
+def _ids(idx: dict[str, int], tokens, line: int) -> tuple[int, ...]:
+    """The indices of a row of ids, read in one pass; an id idx lacks is an error."""
     try:
-        return idx[token]
-    except KeyError:
-        raise ParseError(f"unknown element id {token!r}", line=line)
-
-
-def _read_row(c: _Cursor, width: int, idx: dict[str, int]) -> tuple[int, ...]:
-    line, fields = c.next()
-    if len(fields) != width:
-        raise ParseError(f"row needs {width} entries, found {len(fields)}", line=line)
-    return tuple([_lookup(idx, t, line) for t in fields])
+        return tuple(map(idx.__getitem__, tokens))
+    except KeyError as e:
+        raise ParseError(f"unknown element id {e.args[0]!r}", line=line)
 
 
 def _read_table(c: _Cursor, rows: int, width: int, idx: dict[str, int]):
-    return tuple([_read_row(c, width, idx) for _ in range(rows)])
+    out = []
+    for _ in range(rows):
+        line, fields = c.next()
+        if len(fields) != width:
+            raise ParseError(f"row needs {width} entries, found {len(fields)}", line=line)
+        out.append(_ids(idx, fields, line))
+    return tuple(out)
 
 
 def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], line: int):
@@ -101,15 +120,29 @@ def _ids_after(fields: list[str], skip: int, count: int, idx: dict[str, int], li
             f"{fields[0]!r} line needs {count} value(s), found {len(fields) - skip}",
             line=line,
         )
-    return tuple([_lookup(idx, t, line) for t in fields[skip:]])
+    return _ids(idx, fields[skip:], line)
+
+
+def _parse_head(c: _Cursor, kind: str, loader=None) -> list:
+    """[name, part, ...]: the name row, then each reference row's loader(file name, line)."""
+    out: list = []
+    for key in (kind, *_KINDS[kind][1]):
+        line, fields = c.take(key)
+        if len(fields) != 2:
+            what = "file name" if out else "name"
+            raise ParseError(f"{key!r} line needs exactly one {what}", line=line)
+        out.append(loader(fields[1], line) if out else fields[1])
+    return out
 
 
 def parse_structure(text: str) -> Structure:
     c = _Cursor(text)
-    name = _take_name(c, "structure")
-    line, profile_name = _take_one(c, "profile")
+    (name,) = _parse_head(c, "structure")
+    line, fields = c.take("profile")
+    if len(fields) != 2:
+        raise ParseError("'profile' line needs exactly one name", line=line)
     try:
-        profile = get_profile(profile_name)
+        profile = get_profile(fields[1])
     except StructuralError as e:
         raise ParseError(e.message, line=line)
     line, fields = c.take("elements")
@@ -159,44 +192,27 @@ def parse_structure(text: str) -> Structure:
     return make_structure(name, profile, ids, add, neg, star, omega)
 
 
-def _take_one(c: _Cursor, key: str, what: str = "name") -> tuple[int, str]:
-    """The line number and single value of the next row, keyed key."""
-    line, fields = c.take(key)
-    if len(fields) != 2:
-        raise ParseError(f"{key!r} line needs exactly one {what}", line=line)
-    return line, fields[1]
-
-
-def _take_name(c: _Cursor, kind: str) -> str:
-    return _take_one(c, kind)[1]
-
-
-def _take_ref(c: _Cursor, key: str, loader: Callable[[str, int], object]):
-    line, ref = _take_one(c, key, "file name")
-    return loader(ref, line)
-
-
-def _read_map(c: _Cursor, dom_ids, cod_idx: dict[str, int]) -> tuple[int, ...]:
-    dom_idx = {e: i for i, e in enumerate(dom_ids)}
-    out: list[Optional[int]] = [None] * len(dom_ids)
-    for _ in dom_ids:
+def _read_map(c: _Cursor, dom: Structure, cod: Structure) -> tuple[int, ...]:
+    """One 'id image' row per domain element, in any order; the id is read
+    first, so a repeated id is reported before an unknown image on its row."""
+    dom_idx, cod_idx = dom.index_map(), cod.index_map()
+    out: list[Optional[int]] = [None] * dom.n
+    for _ in range(dom.n):
         line, fields = c.next()
         if len(fields) != 2:
             raise ParseError("map row needs two ids", line=line)
-        i = _lookup(dom_idx, fields[0], line)
+        (i,) = _ids(dom_idx, fields[:1], line)
         if out[i] is not None:
             raise ParseError(f"duplicate map row for {fields[0]!r}", line=line)
-        out[i] = _lookup(cod_idx, fields[1], line)
+        (out[i],) = _ids(cod_idx, fields[1:], line)
     return tuple(out)  # type: ignore[arg-type]
 
 
 def parse_morphism(text: str, loader) -> Morphism:
     c = _Cursor(text)
-    name = _take_name(c, "morphism")
-    dom = _take_ref(c, "dom", loader)
-    cod = _take_ref(c, "cod", loader)
+    name, dom, cod = _parse_head(c, "morphism", loader)
     c.take("map")
-    m = _read_map(c, dom.elements, cod.index_map())
+    m = _read_map(c, dom, cod)
     c.finish()
     return Morphism(name, dom, cod, m)
 
@@ -223,9 +239,7 @@ def parse_action(text: str, loader) -> DerivedAction:
     from .actions import make_action
 
     c = _Cursor(text)
-    name = _take_name(c, "action")
-    actor = _take_ref(c, "actor", loader)
-    acted = _take_ref(c, "acted", loader)
+    name, actor, acted = _parse_head(c, "action", loader)
     dot, star = _read_action(c, actor, acted)
     return make_action(name, actor, acted, dot, star)
 
@@ -235,9 +249,7 @@ def parse_xmod(text: str, loader) -> CrossedModule:
     from .xmod import make_xmod
 
     c = _Cursor(text)
-    name = _take_name(c, "xmod")
-    c1 = _take_ref(c, "c1", loader)
-    c0 = _take_ref(c, "c0", loader)
+    name, c1, c0 = _parse_head(c, "xmod", loader)
     line, fields = c.take("boundary")
     bmap = _ids_after(fields, 1, c1.n, c0.index_map(), line)
     c.take("action")
@@ -250,30 +262,20 @@ def parse_xmodmorphism(text: str, loader) -> XModMorphism:
     from .xmod import XModMorphism
 
     c = _Cursor(text)
-    name = _take_name(c, "xmodmorphism")
-    dom = _take_ref(c, "dom", loader)
-    cod = _take_ref(c, "cod", loader)
+    name, dom, cod = _parse_head(c, "xmodmorphism", loader)
     c.take("top")
-    top = _read_map(c, dom.c1.elements, cod.c1.index_map())
+    top = Morphism(f"top_{name}", dom.c1, cod.c1, _read_map(c, dom.c1, cod.c1))
     c.take("bottom")
-    bottom = _read_map(c, dom.c0.elements, cod.c0.index_map())
+    bottom = Morphism(f"bottom_{name}", dom.c0, cod.c0, _read_map(c, dom.c0, cod.c0))
     c.finish()
-    return XModMorphism(
-        name,
-        dom,
-        cod,
-        Morphism(f"top_{name}", dom.c1, cod.c1, top),
-        Morphism(f"bottom_{name}", dom.c0, cod.c0, bottom),
-    )
+    return XModMorphism(name, dom, cod, top, bottom)
 
 
 def parse_cat1(text: str, loader) -> Cat1Object:
     from .cat1 import make_cat1
 
     c = _Cursor(text)
-    name = _take_name(c, "cat1")
-    big = _take_ref(c, "big", loader)
-    base = _take_ref(c, "base", loader)
+    name, big, base = _parse_head(c, "cat1", loader)
     line, fields = c.take("embed")
     emap = _ids_after(fields, 1, base.n, big.index_map(), line)
     line, fields = c.take("src")
@@ -297,16 +299,6 @@ def _read_text(path: Path) -> str:
         raise StructuralError(f"cannot read {path}: {e}")
 
 
-_PARSERS = {
-    "structure": parse_structure,
-    "morphism": parse_morphism,
-    "action": parse_action,
-    "xmod": parse_xmod,
-    "xmodmorphism": parse_xmodmorphism,
-    "cat1": parse_cat1,
-}
-
-
 def load(path, kind=None, loaded=None):
     """Read and parse the file at path; returns (kind, object).
 
@@ -326,17 +318,18 @@ def load(path, kind=None, loaded=None):
         if first is None:
             raise ParseError("empty file", line=1)
         line, (kind, *_) = first
-        if kind not in _PARSERS:
+        if kind not in _KINDS:
             raise ParseError(f"unknown file kind {kind!r}", line=line)
-    # an xmodmorphism references crossed modules, every other kind structures
-    ref_kind = "xmod" if kind == "xmodmorphism" else "structure"
+    ref_kind = _KINDS[kind][0]
 
     def sibling(ref: str, line: int):
-        if "/" in ref or "\\" in ref or ref.startswith("."):
+        if not _usable(ref):
             raise ParseError(f"reference {ref!r} must be a sibling file name", line=line)
         return load(p.parent / ref, ref_kind, loaded)[1]
 
-    obj = parse_structure(text) if kind == "structure" else _PARSERS[kind](text, sibling)
+    # looked up by name when called, so a wrapper bound later (bench/tracer.py) is used
+    parse = globals()[f"parse_{kind}"]
+    obj = parse(text) if ref_kind is None else parse(text, sibling)
     loaded[key] = kind, obj
     return kind, obj
 
@@ -370,29 +363,24 @@ def load_cat1(path) -> Cat1Object:
     return load(path, "cat1")[1]
 
 
-def _check_token(name: str) -> None:
-    bad = not name or "/" in name or "\\" in name or name.startswith(".")
-    if bad or any(ch.isspace() for ch in name):
+def _token(name: str) -> str:
+    """name, once it is known to be usable in files."""
+    if not _usable(name):
         raise StructuralError(f"name {name!r} cannot be used in files")
+    return name
 
 
-def _ref(s) -> str:
-    _check_token(s.name)
-    return f"{s.name}.mci"
+def _row(s: Structure):
+    """The row writer of s: a row of indices -> their ids, joined in one pass."""
+    get = list(s.elements).__getitem__  # a plain method; a tuple's is a slower slot wrapper
+    return lambda row: " ".join(map(get, row))
 
 
-def _ids(s: Structure, row) -> str:
-    return " ".join(s.elements[v] for v in row)
-
-
-def _table_lines(s: Structure, table) -> list[str]:
-    return [_ids(s, row) for row in table]
-
-
-def _head(kind: str, obj, **refs) -> list[str]:
+def _head(kind: str, obj) -> list[str]:
     """The name row, then one row per sibling file obj references."""
-    _check_token(obj.name)
-    return [f"{kind} {obj.name}"] + [f"{key} {_ref(part)}" for key, part in refs.items()]
+    return [f"{kind} {_token(obj.name)}"] + [
+        f"{key} {_token(getattr(obj, key).name)}.mci" for key in _KINDS[kind][1]
+    ]
 
 
 def _text(out: list[str]) -> str:
@@ -401,63 +389,52 @@ def _text(out: list[str]) -> str:
 
 
 def serialize_structure(s: Structure) -> str:
-    _check_token(s.name)
-    out = [
-        f"structure {s.name}",
-        f"profile {s.profile.name}",
-        "elements " + " ".join(s.elements),
-        "add",
-    ]
-    out += _table_lines(s, s.add)
-    out.append("neg " + _ids(s, s.neg))
+    row = _row(s)
+    out = _head("structure", s) + [f"profile {s.profile.name}", "elements " + " ".join(s.elements)]
+    out += ["add", *map(row, s.add), "neg " + row(s.neg)]
     for sym in s.profile.primary_binary_symbols():
-        out += [f"table {sym}"] + _table_lines(s, s.star[sym])
+        out += [f"table {sym}", *map(row, s.star[sym])]
     for sym in s.profile.unary_symbols():
-        out.append(f"unary {sym} " + _ids(s, s.omega[sym]))
+        out.append(f"unary {sym} " + row(s.omega[sym]))
     return _text(out)
 
 
 def _map_lines(dom: Structure, cod: Structure, m) -> list[str]:
-    return [f"{dom.elements[i]} {cod.elements[m[i]]}" for i in range(dom.n)]
+    return [f"{a} {b}" for a, b in zip(dom.elements, map(list(cod.elements).__getitem__, m))]
 
 
 def serialize_morphism(m: Morphism) -> str:
-    out = _head("morphism", m, dom=m.dom, cod=m.cod) + ["map"]
-    return _text(out + _map_lines(m.dom, m.cod, m.map))
+    return _text(_head("morphism", m) + ["map"] + _map_lines(m.dom, m.cod, m.map))
 
 
 def _action_tables(acted: Structure, act: DerivedAction) -> list[str]:
-    out = ["dot"] + _table_lines(acted, act.dot)
+    row = _row(acted)
+    out = ["dot", *map(row, act.dot)]
     for sym in act.actor.profile.binary_symbols():
-        out += [f"table {sym}"] + _table_lines(acted, act.star_act[sym])
+        out += [f"table {sym}", *map(row, act.star_act[sym])]
     return out
 
 
 def serialize_action(act: DerivedAction) -> str:
-    out = _head("action", act, actor=act.actor, acted=act.acted)
-    return _text(out + _action_tables(act.acted, act))
+    return _text(_head("action", act) + _action_tables(act.acted, act))
 
 
 def serialize_xmod(xm: CrossedModule) -> str:
-    out = _head("xmod", xm, c1=xm.c1, c0=xm.c0)
-    out += ["boundary " + _ids(xm.c0, xm.boundary.map), "action"]
+    out = _head("xmod", xm) + ["boundary " + _row(xm.c0)(xm.boundary.map), "action"]
     return _text(out + _action_tables(xm.c1, xm.action))
 
 
 def serialize_xmodmorphism(m: XModMorphism) -> str:
-    out = _head("xmodmorphism", m, dom=m.dom, cod=m.cod) + ["top"]
-    out += _map_lines(m.dom.c1, m.cod.c1, m.top.map)
-    out.append("bottom")
-    out += _map_lines(m.dom.c0, m.cod.c0, m.bottom.map)
-    return _text(out)
+    out = _head("xmodmorphism", m) + ["top", *_map_lines(m.dom.c1, m.cod.c1, m.top.map)]
+    return _text(out + ["bottom", *_map_lines(m.dom.c0, m.cod.c0, m.bottom.map)])
 
 
 def serialize_cat1(c: Cat1Object) -> str:
     return _text([
-        *_head("cat1", c, big=c.big, base=c.base),
-        "embed " + _ids(c.big, c.embed.map),
-        "src " + _ids(c.base, c.src.map),
-        "tgt " + _ids(c.base, c.tgt.map),
+        *_head("cat1", c),
+        "embed " + _row(c.big)(c.embed.map),
+        "src " + _row(c.base)(c.src.map),
+        "tgt " + _row(c.base)(c.tgt.map),
     ])
 
 
@@ -470,42 +447,17 @@ def _write_named(path: Path, text: str) -> None:
 
 
 def _write_structures(dirpath: Path, structs) -> None:
-    from .limits import same_structure
-
     seen: dict[str, Structure] = {}
     for s in structs:
-        _check_token(s.name)
-        if s.name in seen:
-            if not same_structure(seen[s.name], s):
-                raise StructuralError(
-                    f"two different structures share the name {s.name!r}"
-                )
+        name = _token(s.name)
+        if name in seen:
+            from .limits import same_structure
+
+            if not same_structure(seen[name], s):
+                raise StructuralError(f"two different structures share the name {name!r}")
             continue
-        seen[s.name] = s
-        _write_named(dirpath / f"{s.name}.mci", serialize_structure(s))
-
-
-def save_structure(s: Structure, path) -> None:
-    Path(path).write_text(serialize_structure(s), encoding="utf-8")
-
-
-def _save(path, parts, serialize, obj) -> None:
-    """Write the structures obj references next to path, then obj's file."""
-    p = Path(path)
-    _write_structures(p.parent, parts)
-    p.write_text(serialize(obj), encoding="utf-8")
-
-
-def save_morphism(m: Morphism, path) -> None:
-    _save(path, (m.dom, m.cod), serialize_morphism, m)
-
-
-def save_action(act: DerivedAction, path) -> None:
-    _save(path, (act.actor, act.acted), serialize_action, act)
-
-
-def save_xmod(xm: CrossedModule, path) -> None:
-    _save(path, (xm.c1, xm.c0), serialize_xmod, xm)
+        seen[name] = s
+        _write_named(dirpath / f"{name}.mci", serialize_structure(s))
 
 
 def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
@@ -520,15 +472,43 @@ def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
     )
 
 
-def save_xmodmorphism(m: XModMorphism, path) -> None:
+def _save(kind: str, obj, path) -> None:
+    """Write the files obj references next to path, structures first, then obj's file."""
     p = Path(path)
-    if m.dom.name == m.cod.name and not _same_xmod(m.dom, m.cod):
-        raise StructuralError(f"two different modules share the name {m.dom.name!r}")
-    _write_structures(p.parent, (m.dom.c1, m.dom.c0, m.cod.c1, m.cod.c0))
-    for xm in (m.dom, m.cod):
-        _write_named(p.parent / f"{xm.name}.mci", serialize_xmod(xm))
-    p.write_text(serialize_xmodmorphism(m), encoding="utf-8")
+    ref_kind, keys = _KINDS[kind]
+    parts = [getattr(obj, key) for key in keys]
+    if ref_kind == "xmod":
+        dom, cod = parts
+        if dom.name == cod.name and not _same_xmod(dom, cod):
+            raise StructuralError(f"two different modules share the name {dom.name!r}")
+        structs = [getattr(xm, key) for xm in parts for key in _KINDS["xmod"][1]]
+        _write_structures(p.parent, structs)
+        for xm in parts:
+            _write_named(p.parent / f"{xm.name}.mci", serialize_xmod(xm))
+    else:
+        _write_structures(p.parent, parts)
+    p.write_text(globals()[f"serialize_{kind}"](obj), encoding="utf-8")  # by name, as in load
+
+
+def save_structure(s: Structure, path) -> None:
+    _save("structure", s, path)
+
+
+def save_morphism(m: Morphism, path) -> None:
+    _save("morphism", m, path)
+
+
+def save_action(act: DerivedAction, path) -> None:
+    _save("action", act, path)
+
+
+def save_xmod(xm: CrossedModule, path) -> None:
+    _save("xmod", xm, path)
+
+
+def save_xmodmorphism(m: XModMorphism, path) -> None:
+    _save("xmodmorphism", m, path)
 
 
 def save_cat1(c: Cat1Object, path) -> None:
-    _save(path, (c.big, c.base), serialize_cat1, c)
+    _save("cat1", c, path)

@@ -18,13 +18,11 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .errors import SizeGuardError, StructuralError
+# the guards live in errors (the CLI reads them without this layer); xmod reads both here
+from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, SizeGuardError, StructuralError
 from .report import CheckItem, Report, check
 from .structures import Morphism, Structure, Subobject, carrier, operations, subobject
 from .terms import law_filter, law_table
-
-DEFAULT_MAX_SIZE = 12
-UNIVERSAL_MAX_SIZE = 8
 
 
 def identity_morphism(s: Structure) -> Morphism:

@@ -134,7 +134,8 @@ def make_structure(
     if len(set(elements)) != len(elements):
         raise StructuralError(f"{name}: duplicate element ids")
     for e in elements:
-        if not e or any(c.isspace() for c in e):
+        # every id starts some row of its file's add table, where a leading '#' is a comment
+        if not e or e.startswith("#") or any(c.isspace() for c in e):
             raise StructuralError(f"{name}: bad element id {e!r}")
     n = len(elements)
 

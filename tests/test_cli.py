@@ -152,6 +152,17 @@ def test_bad_files_exit_two(tmp_path, capsys):
     assert "ERROR" in err
 
 
+def test_element_id_starting_with_hash_is_an_error(tmp_path, capsys):
+    # any file this structure saved to would have an add row starting '#1', a comment
+    (tmp_path / "hash.mci").write_text(
+        "structure hash\nprofile group\nelements 0 #1\nadd\n0 #1\n0 0\nneg 0 #1\nend\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "verify", str(tmp_path / "hash.mci"))
+    assert (code, out) == (2, "")
+    assert err == "ERROR hash: bad element id '#1'\n"
+
+
 def test_typed_checks(tmp_path, capsys):
     f2x = make_truncated_poly(2)
     save_action(
@@ -800,7 +811,7 @@ finally:
         (
             "verify z4.mci",
             ("structures",),
-            ("actions", "xmod", "cat1", "limits", "pullbacks"),
+            ("morphisms", "actions", "xmod", "cat1", "limits", "pullbacks"),
         ),
         ("check-xmod xm_z2_z4.mci", ("actions", "xmod"), ("cat1", "pullbacks")),
     ],

@@ -1,11 +1,18 @@
 """File formats: canonical text, parse/serialize roundtrips, save/load.
 
 Canonical texts are frozen by hand below; roundtrips must be
-byte-identical so command output stays reproducible.
+byte-identical so command output stays reproducible. What loading a
+mutated file gives, for every parse error, is pinned in
+``tests/data/parse_errors.txt`` (``tests/parse_corpus.py``).
 """
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
+from xmodkit import io
 from xmodkit.actions import conjugation_action, trivial_action
 from xmodkit.errors import ParseError, StructuralError
 from xmodkit.io import (
@@ -35,6 +42,7 @@ from xmodkit.morphisms import identity_morphism
 from xmodkit.structures import Morphism, make_structure, subobject
 from xmodkit.xmod import XModMorphism, make_xmod, verify_xmod
 from xmodkit.cat1 import verify_cat1
+from parse_corpus import render_corpus
 from xmodkit.zoo import (
     make_cyclic,
     make_dialgebra,
@@ -356,3 +364,47 @@ def test_save_rejects_different_objects_sharing_a_name(tmp_path):
     with pytest.raises(StructuralError) as e:
         save_xmodmorphism(m, tmp_path / "m.mci")
     assert e.value.message == "two different modules share the name 'xm_z2_z4'"
+
+
+PARSE_ERRORS = Path(__file__).parent / "data" / "parse_errors.txt"
+
+
+def test_parse_error_corpus_is_byte_identical(tmp_path):
+    assert render_corpus(tmp_path) == PARSE_ERRORS.read_text(encoding="utf-8")
+
+
+def _parse_error_patterns():
+    """A pattern for each literal or f-string ParseError message in io.py."""
+    tree = ast.parse(Path(io.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ParseError"):
+            continue
+        msg = node.args[0]
+        if isinstance(msg, ast.Constant):
+            yield re.escape(msg.value)
+        elif isinstance(msg, ast.JoinedStr):
+            yield "".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else ".+?"
+                for part in msg.values
+            )
+        else:  # only the profile lookup's message is passed through (e.message)
+            assert isinstance(msg, ast.Attribute), f"io.py line {node.lineno}"
+
+
+def test_parse_error_corpus_reaches_every_message():
+    pinned = PARSE_ERRORS.read_text(encoding="utf-8")
+    patterns = list(_parse_error_patterns())
+    assert len(patterns) > 20
+    missing = [
+        p for p in patterns if not re.search(rf": ParseError: {p} \(line \d+\)$", pinned, re.M)
+    ]
+    assert missing == []
+
+
+def test_element_ids_cannot_start_a_comment():
+    # every element id starts some add row, which a leading '#' would comment out
+    with pytest.raises(StructuralError) as e:
+        make_structure(
+            "z", make_cyclic(2).profile, ("0", "#1"), ((0, 1), (1, 0)), (0, 1), {}, {}
+        )
+    assert e.value.message == "z: bad element id '#1'"
