@@ -23,6 +23,7 @@ from .structures import (
     Structure,
     Subobject,
     Table2,
+    _check_table2,
     _Restriction,
     carrier,
     make_structure,
@@ -53,19 +54,8 @@ def make_action(
     if actor.zero is None or acted.zero is None:
         raise StructuralError(f"action {name}: both carriers need an additive zero")
 
-    def fix(table, what: str) -> Table2:
-        table = tuple([tuple(row) for row in table])
-        if len(table) != actor.n:
-            raise StructuralError(f"action {name}: {what} has {len(table)} rows, expected {actor.n}")
-        for row in table:
-            if len(row) != acted.n:
-                raise StructuralError(
-                    f"action {name}: {what} row has {len(row)} entries, expected {acted.n}"
-                )
-            for v in row:
-                if not (0 <= v < acted.n):
-                    raise StructuralError(f"action {name}: {what} entry {v} out of range")
-        return table
+    def fix(table, op: str) -> Table2:
+        return _check_table2(f"action {name}", op, table, actor.n, acted.n)
 
     syms = actor.profile.binary_symbols()
     if set(star_act) != set(syms):
@@ -77,7 +67,7 @@ def make_action(
         actor,
         acted,
         fix(dot, "dot"),
-        {sym: fix(star_act[sym], f"star {sym}") for sym in syms},
+        {sym: fix(star_act[sym], sym) for sym in syms},
     )
 
 

@@ -8,14 +8,14 @@ whose first word starts with ``#`` are skipped everywhere, so no element
 id starts with ``#``.
 
 The kind table ``_KINDS`` gives each kind's reference rows; the parser
-and serializer heads, the savers and ``load`` read them from it. One
-predicate, ``_usable``, is the file-name rule on read and on write. A
-row of ids is read with one lookup over the row (``_ids``) and written
-with one join (``_row``). Every read goes through ``_read_text`` and
-every load through ``load``, whose memo reads each file once per command
-and shares one object between every reference to it. Only the structure
-layer is imported with this module; the other kinds' parsers and savers
-import their layer when they run.
+and serializer heads, the savers and ``load`` read them from it.
+``_usable`` is the rule for names and references, read or written, and
+a header row is its keyword alone (``_alone``). A row of ids is read in
+one lookup (``_ids``), written in one join (``_row``). Every read goes
+through ``_read_text`` and every load through ``load``, whose memo reads
+each file once per command and shares one object between every
+reference to it. Only the structure layer is imported with this module;
+the other kinds' parsers and savers import their layer when they run.
 
 Serialization is canonical: single spaces, tables in carrier order, one
 trailing newline, only primary star tables for structures (opposites are
@@ -92,8 +92,14 @@ class _Cursor:
             raise ParseError("content after end", line=self.rows[self.k][0])
 
     def finish(self) -> None:
-        self.take("end")
+        _alone(*self.take("end"))
         self.after_end()
+
+
+def _alone(line: int, fields: list[str]) -> None:
+    """A header row (add, map, dot, top, bottom, action, end) is its keyword alone."""
+    if len(fields) != 1:
+        raise ParseError(f"{fields[0]!r} line needs no values, found {len(fields) - 1}", line=line)
 
 
 def _ids(idx: dict[str, int], tokens, line: int) -> tuple[int, ...]:
@@ -131,6 +137,8 @@ def _parse_head(c: _Cursor, kind: str, loader=None) -> list:
         if len(fields) != 2:
             what = "file name" if out else "name"
             raise ParseError(f"{key!r} line needs exactly one {what}", line=line)
+        if not (out or _usable(fields[1])):
+            raise ParseError(f"name {fields[1]!r} cannot be used in files", line=line)
         out.append(loader(fields[1], line) if out else fields[1])
     return out
 
@@ -160,6 +168,8 @@ def parse_structure(text: str) -> Structure:
     while True:
         line, fields = c.next()
         kw = fields[0]
+        if kw in ("end", "add"):
+            _alone(line, fields)
         if kw == "end":
             break
         if kw == "add":
@@ -211,7 +221,7 @@ def _read_map(c: _Cursor, dom: Structure, cod: Structure) -> tuple[int, ...]:
 def parse_morphism(text: str, loader) -> Morphism:
     c = _Cursor(text)
     name, dom, cod = _parse_head(c, "morphism", loader)
-    c.take("map")
+    _alone(*c.take("map"))
     m = _read_map(c, dom, cod)
     c.finish()
     return Morphism(name, dom, cod, m)
@@ -220,12 +230,13 @@ def parse_morphism(text: str, loader) -> Morphism:
 def _read_action(c: _Cursor, actor: Structure, acted: Structure):
     """The dot table, then star blocks up to 'end', of actor acting on acted."""
     idx = acted.index_map()
-    c.take("dot")
+    _alone(*c.take("dot"))
     dot = _read_table(c, actor.n, acted.n, idx)
     star: dict[str, tuple] = {}
     while True:
         line, fields = c.next()
         if fields[0] == "end":
+            _alone(line, fields)
             c.after_end()
             return dot, star
         if fields[0] != "table" or len(fields) != 2:
@@ -252,7 +263,7 @@ def parse_xmod(text: str, loader) -> CrossedModule:
     name, c1, c0 = _parse_head(c, "xmod", loader)
     line, fields = c.take("boundary")
     bmap = _ids_after(fields, 1, c1.n, c0.index_map(), line)
-    c.take("action")
+    _alone(*c.take("action"))
     dot, star = _read_action(c, c0, c1)
     act = make_action(f"act_{name}", c0, c1, dot, star)
     return make_xmod(name, Morphism(f"bnd_{name}", c1, c0, bmap), act)
@@ -263,9 +274,9 @@ def parse_xmodmorphism(text: str, loader) -> XModMorphism:
 
     c = _Cursor(text)
     name, dom, cod = _parse_head(c, "xmodmorphism", loader)
-    c.take("top")
+    _alone(*c.take("top"))
     top = Morphism(f"top_{name}", dom.c1, cod.c1, _read_map(c, dom.c1, cod.c1))
-    c.take("bottom")
+    _alone(*c.take("bottom"))
     bottom = Morphism(f"bottom_{name}", dom.c0, cod.c0, _read_map(c, dom.c0, cod.c0))
     c.finish()
     return XModMorphism(name, dom, cod, top, bottom)
@@ -460,24 +471,14 @@ def _write_structures(dirpath: Path, structs) -> None:
         _write_named(dirpath / f"{name}.mci", serialize_structure(s))
 
 
-def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
-    from .limits import same_structure
-
-    return (
-        same_structure(a.c1, b.c1)
-        and same_structure(a.c0, b.c0)
-        and a.boundary.map == b.boundary.map
-        and a.action.dot == b.action.dot
-        and a.action.star_act == b.action.star_act
-    )
-
-
 def _save(kind: str, obj, path) -> None:
     """Write the files obj references next to path, structures first, then obj's file."""
     p = Path(path)
     ref_kind, keys = _KINDS[kind]
     parts = [getattr(obj, key) for key in keys]
     if ref_kind == "xmod":
+        from .xmod import _same_xmod
+
         dom, cod = parts
         if dom.name == cod.name and not _same_xmod(dom, cod):
             raise StructuralError(f"two different modules share the name {dom.name!r}")

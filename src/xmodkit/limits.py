@@ -24,6 +24,16 @@ def same_structure(a: Structure, b: Structure) -> bool:
     )
 
 
+def _pair_carrier(
+    name: str, a: Structure, b: Structure, pairs: list[tuple[int, int]]
+) -> tuple[Structure, Morphism, Morphism]:
+    """The componentwise structure on pairs, with the coordinate projections."""
+    prod = restricted_product(name, (a, b), pairs)
+    fst = Morphism(f"fst_{name}", prod, a, tuple([p for p, _ in pairs]))
+    snd = Morphism(f"snd_{name}", prod, b, tuple([r for _, r in pairs]))
+    return prod, fst, snd
+
+
 def direct_product(
     a: Structure, b: Structure, name: str | None = None
 ) -> tuple[Structure, Morphism, Morphism]:
@@ -33,11 +43,7 @@ def direct_product(
             f"product needs one profile, got {a.profile.name} and {b.profile.name}"
         )
     pairs = [(p, r) for p in range(a.n) for r in range(b.n)]
-    name = name or f"prod_{a.name}_{b.name}"
-    prod = restricted_product(name, (a, b), pairs)
-    fst = Morphism(f"fst_{name}", prod, a, tuple([p for p, _ in pairs]))
-    snd = Morphism(f"snd_{name}", prod, b, tuple([r for _, r in pairs]))
-    return prod, fst, snd
+    return _pair_carrier(name or f"prod_{a.name}_{b.name}", a, b, pairs)
 
 
 def fiber_product(
@@ -63,11 +69,7 @@ def fiber_product(
         raise StructuralError(
             f"fiber product of {alpha.name} and {beta.name}: empty carrier"
         )
-    name = name or f"fib_{a.name}_{b.name}"
-    fib = restricted_product(name, (a, b), pairs)
-    fst = Morphism(f"fst_{name}", fib, a, tuple([p for p, _ in pairs]))
-    snd = Morphism(f"snd_{name}", fib, b, tuple([r for _, r in pairs]))
-    return fib, fst, snd
+    return _pair_carrier(name or f"fib_{a.name}_{b.name}", a, b, pairs)
 
 
 def equalizer(f: Morphism, g: Morphism, name: str | None = None) -> Subobject:

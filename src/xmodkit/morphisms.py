@@ -9,9 +9,10 @@ table ``morphism_report`` runs, bound once per search. Each list holds
 the elements whose order divides the generator's, and ``_pinned_pairs``
 (crossed module and cat1 morphisms) fixes each lower level map and cuts
 the lists by the square laws at each generator. ``_bijective`` is the
-isomorphism test of every ``find_*`` function. The tests keep a
-brute-force scan and the unpinned route (full Hom sets, then the square
-laws) as oracles."""
+isomorphism test of every ``find_*`` function, and ``find_isomorphism``
+takes the least bijective table ``enumerate_morphisms`` lists. The tests
+keep a brute-force scan and the unpinned route (full Hom sets, then the
+square laws) as oracles."""
 
 from __future__ import annotations
 
@@ -230,7 +231,7 @@ def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_
 def find_isomorphism(
     a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Morphism]:
-    """First bijective morphism in candidate order, or None."""
+    """The least bijective morphism of ``enumerate_morphisms``, or None."""
     if a.profile.name != b.profile.name:
         return None
     if a.n != b.n:
@@ -243,9 +244,7 @@ def find_isomorphism(
         element_order(b, i) for i in range(b.n)
     ):
         return None
-    gens, order = _generating_data(a)
-    for m in _image_tables(a, b, order, _by_order(a, b, gens)):
-        iso = Morphism(f"iso_{a.name}_{b.name}", a, b, m)
-        if _bijective(iso):
-            return iso
+    for f in enumerate_morphisms(a, b, max_size):
+        if _bijective(f):
+            return Morphism(f"iso_{a.name}_{b.name}", a, b, f.map)
     return None

@@ -6,7 +6,8 @@ the boundary; the new base acts through the morphism on the first
 coordinate and by conjugation or stars on the second. Split objects pull
 back on triples (outer, middle, outer) whose outer coordinates map to
 the source and target of the middle one. Both constructions come with a
-projection and a mediator recipe, and the two routes around the square
+projection and a mediator recipe; the mediator scans run under the
+identity lower level, built directly, and the two routes around the square
 (translate then pull back, pull back then translate) are compared by
 isomorphism search.
 """
@@ -27,7 +28,7 @@ from .cat1 import (
 )
 from .errors import StructuralError
 from .limits import fiber_product, same_structure
-from .morphisms import DEFAULT_MAX_SIZE, _search_guard, enumerate_morphisms, is_morphism
+from .morphisms import DEFAULT_MAX_SIZE, _search_guard, identity_morphism, is_morphism
 from .records import replace
 from .report import CheckItem, Report, merge_pre
 from .structures import Morphism, _Restriction, restricted_product
@@ -101,13 +102,12 @@ def xmod_pullback_mediators(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[XModMorphism]:
     """All morphisms into the pullback that solve the square of the morphism
-    f, named med<k>_<f>: identity bottom, top generator g into the fibre of
-    proj.top over f.top(g)."""
+    f, named med<k>_<f>: identity bottom if f's base is the pullback's, top
+    generator g into the fibre of proj.top over f.top(g)."""
     _search_guard(f.dom.c1, pb.c1, max_size)
-    idm = tuple(range(pb.c0.n))
-    bottoms = [h for h in enumerate_morphisms(f.dom.c0, pb.c0, max_size) if h.map == idm]
     over, leg = proj.top.map, f.top.map
     keep = lambda g, y: over[y] == leg[g]  # noqa: E731
+    bottoms = [identity_morphism(pb.c0)] if same_structure(f.dom.c0, pb.c0) else []
     return _top_search(f.dom, pb, bottoms, lambda k: f"med{k}_{f.name}", keep=keep)
 
 
@@ -222,13 +222,12 @@ def cat1_pullback_mediators(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[Cat1Morphism]:
     """All morphisms into the pullback that solve the square of the morphism
-    g, named med<k>_<g>: identity base, big generator k into the fibre of
-    proj's big map over g's image of k."""
+    g, named med<k>_<g>: identity base if g's base is the pullback's, big
+    generator k into the fibre of proj's big map over g's image of k."""
     _search_guard(g.dom.big, pc.big, max_size)
-    idm = tuple(range(pc.base.n))
-    bases = [h for h in enumerate_morphisms(g.dom.base, pc.base, max_size) if h.map == idm]
     over, leg = proj.big_map.map, g.big_map.map
     keep = lambda k, y: over[y] == leg[k]  # noqa: E731
+    bases = [identity_morphism(pc.base)] if same_structure(g.dom.base, pc.base) else []
     return _big_search(g.dom, pc, bases, lambda k: f"med{k}_{g.name}", keep=keep)
 
 

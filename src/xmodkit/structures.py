@@ -85,20 +85,20 @@ def _transpose(t: Table2) -> Table2:
     return tuple([tuple([t[j][i] for j in range(n)]) for i in range(n)])
 
 
-def _check_table2(name: str, op: str, t: Sequence[Sequence[int]], n: int) -> Table2:
-    if len(t) != n:
-        raise StructuralError(f"{name}: table {op!r} has {len(t)} rows, expected {n}")
-    rows = []
-    for r, row in enumerate(t):
-        if len(row) != n:
+def _check_table2(name: str, op: str, t: Sequence[Sequence[int]], rows: int, width: int) -> Table2:
+    """t as rows tuples of width entries below width; a row is scanned only to name a bad entry."""
+    if len(t) != rows:
+        raise StructuralError(f"{name}: table {op!r} has {len(t)} rows, expected {rows}")
+    out = tuple([tuple(row) for row in t])
+    for r, row in enumerate(out):
+        if len(row) != width:
             raise StructuralError(
-                f"{name}: table {op!r} row {r} has {len(row)} entries, expected {n}"
+                f"{name}: table {op!r} row {r} has {len(row)} entries, expected {width}"
             )
-        for v in row:
-            if not (0 <= v < n):
-                raise StructuralError(f"{name}: table {op!r} entry {v} out of range")
-        rows.append(tuple(row))
-    return tuple(rows)
+        if min(row) < 0 or max(row) >= width:
+            bad = next(v for v in row if not 0 <= v < width)
+            raise StructuralError(f"{name}: table {op!r} entry {bad} out of range")
+    return out
 
 
 def _check_table1(name: str, op: str, t: Sequence[int], n: int) -> Table1:
@@ -139,7 +139,7 @@ def make_structure(
             raise StructuralError(f"{name}: bad element id {e!r}")
     n = len(elements)
 
-    add_t = _check_table2(name, "add", add, n)
+    add_t = _check_table2(name, "add", add, n, n)
     neg_t = _check_table1(name, "neg", neg, n)
 
     syms = profile.binary_symbols()
@@ -149,9 +149,9 @@ def make_structure(
     star_t: dict[str, Table2] = {}
     for sym in syms:
         if sym in star:
-            star_t[sym] = _check_table2(name, sym, star[sym], n)
+            star_t[sym] = _check_table2(name, sym, star[sym], n, n)
         elif profile.opposite_of(sym) in star:
-            star_t[sym] = _transpose(_check_table2(name, sym, star[profile.opposite_of(sym)], n))
+            star_t[sym] = _transpose(_check_table2(name, sym, star[profile.opposite_of(sym)], n, n))
         else:
             raise StructuralError(f"{name}: missing star table for {sym!r}")
 

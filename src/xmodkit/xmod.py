@@ -4,7 +4,8 @@ A crossed module is a boundary morphism together with a derived action of
 the codomain on the domain, subject to two table families: the boundary
 reports every action as conjugation (and the matching star rule), and
 elements of the domain act on each other the way their boundary images
-do. Slice constructions keep one base fixed and only move the top level.
+do. Slice constructions keep one base fixed and only move the top level;
+fibre products and slice pullbacks are one fibre with the diagonal action.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ def verify_xmod_morphism(m: XModMorphism) -> Report:
     return Report(f"crossed module morphism {m.name}", tuple(items))
 
 
+def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
+    """Equal carriers, boundary and action tables."""
+    return a is b or (
+        same_structure(a.c1, b.c1)
+        and same_structure(a.c0, b.c0)
+        and a.boundary.map == b.boundary.map
+        and a.action.dot == b.action.dot
+        and a.action.star_act == b.action.star_act
+    )
+
+
 def xmod_identity(xm: CrossedModule) -> XModMorphism:
     return XModMorphism(
         f"id_{xm.name}", xm, xm, identity_morphism(xm.c1), identity_morphism(xm.c0)
@@ -183,17 +195,13 @@ def slice_initial(x: Structure, name: str | None = None) -> CrossedModule:
     return inclusion_xmod(x, (x.zero,), name or f"init_{x.name}")
 
 
-def xmod_fiber_product(
-    xm1: CrossedModule, xm2: CrossedModule, name: str | None = None
+def _fibre(
+    xm1: CrossedModule, xm2: CrossedModule, alpha: Morphism, beta: Morphism, name: str
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """Matching-boundary pairs over a shared base, with diagonal action."""
-    if not same_structure(xm1.c0, xm2.c0):
-        raise StructuralError(
-            f"fiber product of {xm1.name} and {xm2.name}: bases differ"
-        )
-    name = name or f"fib_{xm1.name}_{xm2.name}"
+    """The pairs that alpha and beta send to one element, over xm1's base
+    through xm1's boundary, with the diagonal action, and the two legs."""
     # carrier gets its own name so module and structure files never collide
-    fib, fst, snd = fiber_product(xm1.boundary, xm2.boundary, name=f"c1_{name}")
+    fib, fst, snd = fiber_product(alpha, beta, name=f"c1_{name}")
     base = xm1.c0
     bnd = Morphism(f"bnd_{name}", fib, base, tuple([xm1.boundary.map[p] for p in fst.map]))
     act = restrict_action(
@@ -204,6 +212,17 @@ def xmod_fiber_product(
     p1 = XModMorphism(f"fst_{name}", out, xm1, fst, identity_morphism(base))
     p2 = XModMorphism(f"snd_{name}", out, xm2, snd, identity_morphism(base))
     return out, p1, p2
+
+
+def xmod_fiber_product(
+    xm1: CrossedModule, xm2: CrossedModule, name: str | None = None
+) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
+    """Matching-boundary pairs over a shared base, with diagonal action."""
+    if not same_structure(xm1.c0, xm2.c0):
+        raise StructuralError(
+            f"fiber product of {xm1.name} and {xm2.name}: bases differ"
+        )
+    return _fibre(xm1, xm2, xm1.boundary, xm2.boundary, name or f"fib_{xm1.name}_{xm2.name}")
 
 
 def induced_xmod(f: XModMorphism, name: str | None = None) -> CrossedModule:
@@ -278,28 +297,19 @@ def compose_xmod(
 def slice_pullback(
     f: XModMorphism, g: XModMorphism, name: str | None = None
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """Pullback of two slice morphisms into a shared crossed module."""
-    if f.cod is not g.cod and not (
-        same_structure(f.cod.c1, g.cod.c1) and same_structure(f.cod.c0, g.cod.c0)
-    ):
+    """Pullback of two slice morphisms into a shared crossed module: the
+    fibre of f.top and g.top over the shared base, with the diagonal action."""
+    if not _same_xmod(f.cod, g.cod):
         raise StructuralError("slice_pullback: codomains differ")
     for leg in (f, g):
-        rep = verify_xmod_morphism(leg)
-        if not rep.ok:
+        if not verify_xmod_morphism(leg).ok:
             raise StructuralError(f"slice_pullback: leg {leg.name} is not a morphism")
-    name = name or f"pb_{f.dom.name}_{g.dom.name}"
-    ind_f = induced_xmod(f, name=f"ind_{f.name}")
-    ind_g = induced_xmod(g, name=f"ind_{g.name}")
-    fib, q1, q2 = xmod_fiber_product(ind_f, ind_g, name=name)
-    base = f.dom.c0
-    act = restrict_action(
-        f"diag_{fib.c1.name}", base, fib.c1, list(zip(q1.top.map, q2.top.map)),
-        [(f.dom.action, range(base.n)), (g.dom.action, range(base.n))],
-    )
-    out = compose_xmod(fib, f.cod, act, name=name)
-    p1 = XModMorphism(f"fst_{name}", out, f.dom, q1.top, identity_morphism(base))
-    p2 = XModMorphism(f"snd_{name}", out, g.dom, q2.top, identity_morphism(base))
-    return out, p1, p2
+    for leg in (f, g):
+        if leg.bottom.map != tuple(range(leg.dom.c0.n)):
+            raise StructuralError("slice_pullback: bottom level must be the identity")
+        if not same_structure(leg.dom.c0, leg.cod.c0):
+            raise StructuralError("slice_pullback: bases differ")
+    return _fibre(f.dom, g.dom, f.top, g.top, name or f"pb_{f.dom.name}_{g.dom.name}")
 
 
 def slice_product(
@@ -322,9 +332,7 @@ def xmod_equalizer(
     f: XModMorphism, g: XModMorphism, name: str | None = None
 ) -> tuple[CrossedModule, XModMorphism]:
     """Componentwise equalizer at both levels, with restricted structure."""
-    if f.dom is not g.dom and not (
-        same_structure(f.dom.c1, g.dom.c1) and same_structure(f.dom.c0, g.dom.c0)
-    ):
+    if not _same_xmod(f.dom, g.dom):
         raise StructuralError("xmod_equalizer: domains differ")
     e1 = equalizer(f.top, g.top, name=f"eq1_{f.name}_{g.name}")
     e0 = equalizer(f.bottom, g.bottom, name=f"eq0_{f.name}_{g.name}")

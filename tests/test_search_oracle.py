@@ -8,7 +8,8 @@ its first pair bijective at both levels, and mediators are its pairs
 with the identity lower level whose composite with the projection is
 the leg. The searches must return the same level tables in the same
 order, under the same names and lower level names; mediators are named
-med<k>_<leg>, and an upper level map is named after its morphism.
+med<k>_<leg> over the identity named id_<base>, and an upper level map
+is named after its morphism.
 
 Inputs: every same-profile pair of zoo crossed modules and of two
 modules z4 -> z2 with trivial action (their split objects too, up to 18
@@ -160,7 +161,8 @@ def _mediator_cases(x, phi, testers):
             if bottom != phi.map:
                 continue
             f = XModMorphism(name, t, x, Morphism("top", t.c1, x.c1, top), phi)
-            route = [r for r in into_pb if tuple(proj.top.map[v] for v in r[1]) == top]
+            route = [(*r[:3], f"id_{pb.c0.name}") for r in into_pb
+                     if tuple(proj.top.map[v] for v in r[1]) == top]
             want = _renamed(route, lambda k: f"med{k}_{name}") or None
             yield "xmod-mediators", _xrows(xmod_pullback_mediators(pb, proj, f)), want
     cx = xmod_to_cat1(x)
@@ -171,7 +173,8 @@ def _mediator_cases(x, phi, testers):
             if base != phi.map:
                 continue
             g = Cat1Morphism(name, t, cx, Morphism("big", t.big, cx.big, big), phi)
-            route = [r for r in into_pc if tuple(cproj.big_map.map[v] for v in r[1]) == big]
+            route = [(*r[:3], f"id_{pc.base.name}") for r in into_pc
+                     if tuple(cproj.big_map.map[v] for v in r[1]) == big]
             want = _renamed(route, lambda k: f"med{k}_{name}") or None
             yield "cat1-mediators", _crows(cat1_pullback_mediators(pc, cproj, g)), want
 
