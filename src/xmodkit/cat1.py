@@ -23,7 +23,6 @@ from .morphisms import (
     _search_guard,
     _validate_endpoints,
     enumerate_morphisms,
-    kernel,
     morphism_report,
 )
 from .records import Record
@@ -170,14 +169,10 @@ def cat1_to_xmod(c: Cat1Object, name: Optional[str] = None) -> CrossedModule:
     src = Morphism(c.src.name, c.big, c.base, c.src.map)
     embed = Morphism(c.embed.name, c.base, c.big, c.embed.map)
     act = action_from_section(src, embed, name=f"act_{name}")
-    ker = kernel(src)
-    bnd = Morphism(
-        f"bnd_{name}",
-        act.acted,
-        c.base,
-        tuple([c.tgt.map[p] for p in ker.embed.map]),
-    )
-    return make_xmod(name, bnd, act)
+    # the acted structure is the kernel of src, in index order
+    zero = c.base.zero
+    rows = tuple([c.tgt.map[p] for p, v in enumerate(src.map) if v == zero])
+    return make_xmod(name, Morphism(f"bnd_{name}", act.acted, c.base, rows), act)
 
 
 def xmod_morphism_to_cat1(

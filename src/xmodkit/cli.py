@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import io
-from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, IncompatibleActionError, XmodkitError
+from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, XmodkitError
 from .report import Report
 
 
@@ -282,10 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except IncompatibleActionError as exc:
-        where = f" at ({', '.join(str(w) for w in exc.witness)})" if exc.witness else ""
-        print(f"FAIL {exc}{where}")
-        return 1
     except (XmodkitError, OSError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 2

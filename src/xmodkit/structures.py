@@ -90,13 +90,14 @@ def _check_table2(name: str, op: str, t: Sequence[Sequence[int]], rows: int, wid
     if len(t) != rows:
         raise StructuralError(f"{name}: table {op!r} has {len(t)} rows, expected {rows}")
     out = tuple([tuple(row) for row in t])
+    valid = set(range(width))
     for r, row in enumerate(out):
         if len(row) != width:
             raise StructuralError(
                 f"{name}: table {op!r} row {r} has {len(row)} entries, expected {width}"
             )
-        if min(row) < 0 or max(row) >= width:
-            bad = next(v for v in row if not 0 <= v < width)
+        if not valid.issuperset(row):
+            bad = next(v for v in row if v not in valid)
             raise StructuralError(f"{name}: table {op!r} entry {bad} out of range")
     return out
 
@@ -135,7 +136,7 @@ def make_structure(
         raise StructuralError(f"{name}: duplicate element ids")
     for e in elements:
         # every id starts some row of its file's add table, where a leading '#' is a comment
-        if not e or e.startswith("#") or any(c.isspace() for c in e):
+        if e.startswith("#") or e.split() != [e]:
             raise StructuralError(f"{name}: bad element id {e!r}")
     n = len(elements)
 

@@ -20,6 +20,7 @@ re-evaluate witnesses; no verifier calls it.
 from __future__ import annotations
 
 import functools
+import re
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -65,23 +66,8 @@ class Identity(Record):
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks: list[tuple[str, int]] = []
-    cur = ""
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "() \t\n":
-            if cur:
-                toks.append((cur, start))
-                cur = ""
-            if ch in "()":
-                toks.append((ch, i))
-        else:
-            if not cur:
-                start = i
-            cur += ch
-    if cur:
-        toks.append((cur, start))
-    return toks
+    """Brackets and the runs between brackets and blanks, with their start columns."""
+    return [(m.group(), m.start()) for m in re.finditer(r"[()]|[^() \t\n]+", text)]
 
 
 def parse_term(text: str) -> Term:

@@ -11,6 +11,7 @@ fibre products and slice pullbacks are one fibre with the diagonal action.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from typing import Optional, Sequence
 
 from .actions import (
@@ -423,66 +424,58 @@ def verify_universal_cone(
 ) -> Report:
     """Count mediating morphisms from every tester cone; each must be 1.
 
-    terminal/initial/product/pullback work in the slice over the shared
-    base (identity bottoms); equalizer works with unrestricted morphism
-    pairs. A cone is the tuple of its leg tables; the candidate's
-    morphisms from a tester are counted once by the tables of their
-    composites with the legs, and each cone reads its count there.
+    A cone from a tester is one morphism into each leg's codomain, in leg
+    order, that the parallel pair (a pullback's cospan, an equalizer's
+    pair) sends to one morphism. terminal/initial/product/pullback search
+    the slice over the shared base (identity bottoms) and read the top
+    level; equalizer searches unrestricted morphism pairs and reads both
+    levels. The mediators are the same search from the tester to the
+    candidate (from the candidate for initial), counted once by their
+    composites with the legs; each cone reads its count there.
     """
     for t in testers:
         if t.c1.n > max_size or t.c0.n > max_size:
             raise SizeGuardError(f"universal cone tester {t.name} exceeds guard {max_size}")
+    search, levels = enumerate_slice_morphisms, ("top",)
     if kind in ("product", "pullback"):
         if len(legs) != 2:
             raise StructuralError(f"{kind} cone needs two legs")
-        p1, p2 = legs
-        if kind == "pullback":
-            if parallel is None or len(parallel) != 2:
-                raise StructuralError("pullback cone needs the two cospan morphisms")
-            f, g = parallel
-        leg_levels = ((p1.top, "top"), (p2.top, "top"))
+        if kind == "pullback" and (parallel is None or len(parallel) != 2):
+            raise StructuralError("pullback cone needs the two cospan morphisms")
     elif kind == "equalizer":
         if len(legs) != 1:
             raise StructuralError("equalizer cone needs one inclusion leg")
         if parallel is None or len(parallel) != 2:
             raise StructuralError("equalizer cone needs the parallel morphism pair")
-        (incl,), (f, g) = legs, parallel
-        leg_levels = ((incl.top, "top"), (incl.bottom, "bottom"))
+        search, levels = enumerate_xmod_morphisms, ("top", "bottom")
     elif kind in ("terminal", "initial"):
-        leg_levels = ()
+        legs = ()
     else:
         raise StructuralError(f"unknown cone kind {kind!r}")
     # the testers are guarded above; the searches from the candidate
     # (initial) keep at least the default search guard
     size = max(max_size, DEFAULT_MAX_SIZE)
+    # mediators run from the tester to the candidate, backwards for initial
+    ends = -1 if kind == "initial" else 1
+    pair = parallel if kind in ("pullback", "equalizer") else None
+
+    def maps(w: XModMorphism, outer: XModMorphism | None = None) -> tuple:
+        """w's tables at the levels, composed after outer's when given."""
+        return tuple([
+            (compose(getattr(outer, lv), getattr(w, lv)) if outer else getattr(w, lv)).map
+            for lv in levels
+        ])
+
     items: list[CheckItem] = []
     for t in testers:
-        if kind == "terminal":
-            cones, mediators = [()], enumerate_slice_morphisms(t, candidate, size)
-        elif kind == "initial":
-            cones, mediators = [()], enumerate_slice_morphisms(candidate, t, size)
-        elif kind == "equalizer":
-            cones = [
-                (u.top.map, u.bottom.map)
-                for u in enumerate_xmod_morphisms(t, f.dom, size)
-                if compose(f.top, u.top).map == compose(g.top, u.top).map
-                and compose(f.bottom, u.bottom).map == compose(g.bottom, u.bottom).map
-            ]
-            mediators = enumerate_xmod_morphisms(t, candidate, size)
-        else:
-            into_a = enumerate_slice_morphisms(t, p1.cod, size)
-            into_b = enumerate_slice_morphisms(t, p2.cod, size)
-            cones = [
-                (u.top.map, v.top.map)
-                for u in into_a
-                for v in into_b
-                if kind == "product" or compose(f.top, u.top).map == compose(g.top, v.top).map
-            ]
-            mediators = enumerate_slice_morphisms(t, candidate, size)
-        index = Counter(
-            tuple([compose(leg, getattr(w, level)).map for leg, level in leg_levels])
-            for w in mediators
-        )
+        into = [search(t, leg.cod, size) for leg in legs]
+        cones = [
+            tuple([maps(u) for u in us])
+            for us in product(*into)
+            if pair is None or maps(us[0], pair[0]) == maps(us[-1], pair[1])
+        ]
+        mediators = search(*(t, candidate)[::ends], size)
+        index = Counter(tuple([maps(w, leg) for leg in legs]) for w in mediators)
         counts = [index[c] for c in cones]
         law = f"mediator[{t.name}]"
         if not counts:

@@ -215,6 +215,17 @@ def test_find_cat1_isomorphism_negative():
     assert find_cat1_isomorphism(a, b) is None
 
 
+def test_find_cat1_isomorphism_sizes_differ():
+    # sizes are compared before the size guard
+    z4 = oracle_cyclic(4, "z4")
+    a = xmod_to_cat1(xm_z2_z4())
+    bigger = xmod_to_cat1(slice_terminal(z4))
+    other_base = xmod_to_cat1(inclusion_xmod(oracle_cyclic(8, "z8"), (0,)))
+    assert (a.big.n, a.base.n, bigger.big.n, other_base.big.n, other_base.base.n) == (8, 4, 16, 8, 8)
+    assert find_cat1_isomorphism(a, bigger, max_size=1) is None
+    assert find_cat1_isomorphism(a, other_base, max_size=1) is None
+
+
 def test_broken_square_detected():
     xm = xm_z2_z4()
     c = xmod_to_cat1(xm)

@@ -157,3 +157,31 @@ def test_find_isomorphism_none_for_klein(z4):
     )
     assert find_isomorphism(z4, klein) is None
     assert find_isomorphism(klein, oracle_cyclic(3)) is None
+
+
+def test_find_isomorphism_refusals(z2, z4):
+    from xmodkit.limits import direct_product
+    from xmodkit.profiles import get_profile
+    from xmodkit.structures import make_structure
+    from xmodkit.zoo import make_truncated_poly
+
+    # profiles and sizes are compared before the size guard
+    assert find_isomorphism(oracle_poly(2), z4, max_size=1) is None
+    # a constant add table has no zero
+    flat = make_structure(
+        "flat", get_profile("group"), ("a", "b"), ((0, 0), (0, 0)), (0, 0), {}, {}
+    )
+    assert flat.zero is None
+    assert find_isomorphism(flat, z2) is None
+    assert find_isomorphism(z2, flat) is None
+    # both additive groups are Z2 x Z2, but only F2 x F2 has a unit that is not 1
+    f2 = make_truncated_poly(2, k=1, name="f2")
+    f2x, f2f2 = make_truncated_poly(2), direct_product(f2, f2)[0]
+    orders = [sorted(element_order(s, i) for i in range(4)) for s in (f2x, f2f2)]
+    assert orders[0] == orders[1]
+    homs = enumerate_morphisms(f2x, f2f2)
+    assert homs and not any(sorted(f.map) == [0, 1, 2, 3] for f in homs)
+    assert find_isomorphism(f2x, f2f2) is None
+    with pytest.raises(SizeGuardError) as err:
+        find_isomorphism(oracle_cyclic(5), oracle_cyclic(5, "w5"), max_size=4)
+    assert str(err.value) == "find_isomorphism: carrier 5 exceeds guard 4"
