@@ -18,7 +18,6 @@ from .limits import same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     _bijective,
-    _generating_data,
     _pinned_pairs,
     _search_guard,
     _validate_endpoints,
@@ -27,7 +26,7 @@ from .morphisms import (
 )
 from .records import Record
 from .report import CheckItem, Report, check, merge_pre
-from .structures import Morphism, Structure, carrier, operations, verify_structure
+from .structures import Morphism, Structure, _generating_data, carrier, operations, verify_structure
 from .terms import law_filter, law_table
 from .xmod import CrossedModule, XModMorphism, make_xmod
 

@@ -2,7 +2,9 @@
 
 Every search in the package runs on the pieces here. The additive reduct
 of a valid structure is a finite group, so a morphism is determined by
-the images of a greedy generating set; ``_image_tables`` tries every
+the images of a greedy generating set (``structures._generating_data``,
+the one shared with the generator-reduced law scans of
+``verify_structure``); ``_image_tables`` tries every
 tuple of generator images from one candidate list per generator, extends
 it along recorded sum derivations and keeps the tables that pass the law
 table ``morphism_report`` runs, bound once per search. Each list holds
@@ -22,7 +24,8 @@ from typing import Optional
 # the guards live in errors (the CLI reads them without this layer); xmod reads both here
 from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, SizeGuardError, StructuralError
 from .report import CheckItem, Report, check
-from .structures import Morphism, Structure, Subobject, carrier, operations, subobject
+from .structures import Morphism, Structure, Subobject, _generating_data, carrier, operations
+from .structures import subobject
 from .terms import law_filter, law_table
 
 
@@ -142,31 +145,6 @@ def _search_guard(a: Structure, b: Structure, max_size: int) -> None:
     for s in (b, a):
         if s.zero is None:
             raise StructuralError(f"{s.name}: no zero, cannot enumerate morphisms")
-
-
-def _generating_data(s: Structure, first=()):
-    """Additive generators (those of first not yet reached, then greedy
-    picks) plus a derivation of every nonzero element.
-
-    A derivation (element, parent, k) means element = parent + gens[k],
-    with parent zero or derived earlier; generator k is zero + gens[k].
-    """
-    known = {s.zero}
-    order: list[tuple[int, int, int]] = []
-    gens: list[int] = []
-    for x in (*first, *range(s.n)):
-        if x in known:
-            continue
-        gens.append(x)
-        known.add(x)
-        order.append((x, s.zero, len(gens) - 1))
-        for e, _, _ in order:  # the loop also visits what it appends
-            for k, g in enumerate(gens):
-                z = s.add[e][g]
-                if z not in known:
-                    known.add(z)
-                    order.append((z, e, k))
-    return gens, order
 
 
 def _image_tables(a: Structure, b: Structure, order, allowed):

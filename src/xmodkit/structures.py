@@ -20,6 +20,14 @@ unary symbol where they mention one, and parsed once per profile by
 
 Extra identities from the profile are checked after the core; passing
 ``core_only=True`` skips them.
+
+Some laws are proved by a smaller scan. For a law of the
+``_REDUCTIONS`` table, once the laws it rests on have passed in the same
+report, a scan with some of its variables over the additive generators
+(plus zero) proves it for the whole carrier. A law whose rested-on laws
+have not passed, or that fails over the generators, is scanned over the
+whole carrier, so every FAIL item and its first witness are those of the
+full scan.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .errors import ClosureError, StructuralError
 from .profiles import VarietyProfile
 from .records import Record
 from .report import CheckItem, Report, check
-from .terms import Equation, Identity, Law, eval_term, parse_identity
+from .terms import Equation, Identity, Law, eval_term, format_term, parse_identity
 
 Table1 = tuple[int, ...]
 Table2 = tuple[Table1, ...]
@@ -173,29 +181,34 @@ def make_structure(
 # law lists
 
 
+_ASSOC = "(add (add x y) z) = (add x (add y z))"
 _GROUP_LAWS = (
-    ("add-assoc", "(add (add x y) z) = (add x (add y z))"),
+    ("add-assoc", _ASSOC),
     ("add-zero-left", "(add 0 x) = x"),
     ("add-zero-right", "(add x 0) = x"),
     ("add-neg-right", "(add x (neg x)) = 0"),
     ("add-neg-left", "(add (neg x) x) = 0"),
 )
+# {s} is a star symbol and {o} its opposite
+_DISTRIB = "({s} x (add y z)) = (add ({s} x y) ({s} x z))"
+_CENTRAL = "(add w ({s} x y)) = (add ({s} x y) w)"
+_OPPOSITE = "({s} x y) = ({o} y x)"
 
 
 @functools.lru_cache(maxsize=None)
 def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Identity, ...]:
     stars = profile.binary_symbols()
     rows = list(_GROUP_LAWS)
-    rows += [(f"distrib[{s}]", f"({s} x (add y z)) = (add ({s} x y) ({s} x z))") for s in stars]
+    rows += [(f"distrib[{s}]", _DISTRIB.format(s=s)) for s in stars]
     for u in profile.unary:
         o = u.symbol
         rows.append((f"unary-add[{o}]", f"({o} (add x y)) = (add ({o} x) ({o} y))"))
         for s in stars:
             rhs = f"({s} ({o} x) y)" if u.kind == "S" else f"({s} ({o} x) ({o} y))"
             rows.append((f"unary-star[{o},{s}]", f"({o} ({s} x y)) = {rhs}"))
-    rows += [(f"central[{s}]", f"(add w ({s} x y)) = (add ({s} x y) w)") for s in stars]
+    rows += [(f"central[{s}]", _CENTRAL.format(s=s)) for s in stars]
     rows += [
-        (f"opposite[{s}]", f"({s} x y) = ({profile.opposite_of(s)} y x)")
+        (f"opposite[{s}]", _OPPOSITE.format(s=s, o=profile.opposite_of(s)))
         for s in profile.primary_binary_symbols()
     ]
     laws = [parse_identity(*row) for row in rows]
@@ -204,13 +217,66 @@ def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Id
     return tuple(laws)
 
 
+# Laws that a scan with some variables over the additive generators G
+# (those of _generating_data, plus zero) proves, once the laws they rest
+# on have passed: law text ({s}: the law's star symbol), the variables
+# over G, and the texts rested on ({s}: every star symbol; with {o}, every
+# primary one). In each row the values of a reduced variable at which the
+# law holds for all other values are closed under add, so they are all
+# of S once they hold G. README.md gives the proofs.
+_MONOID = tuple([text for _, text in _GROUP_LAWS[:3]])
+# an abelian group under add, and every star additive in both arguments
+_BILINEAR = (*[text for _, text in _GROUP_LAWS], "(add x y) = (add y x)", _DISTRIB, _OPPOSITE)
+_REDUCTIONS = (
+    (_ASSOC, "y", ()),  # Light's associativity test
+    (_DISTRIB, "z", _MONOID),
+    (_CENTRAL, "w", _MONOID),
+    # each monomial holds each variable once: both sides are additive in each
+    *[(text, "x y z", _BILINEAR) for text in (
+        "(mul x (mul y z)) = (mul (mul x y) z)",
+        "(add (bracket x (bracket y z)) "
+        "(add (bracket y (bracket z x)) (bracket z (bracket x y)))) = 0",
+        "(bracket (bracket x y) z) = (add (bracket (bracket x z) y) (bracket x (bracket y z)))",
+        "(lprod x (lprod y z)) = (lprod (lprod x y) z)",
+        "(lprod x (rprod y z)) = (lprod (lprod x y) z)",
+        "(lprod (rprod x y) z) = (rprod x (lprod y z))",
+        "(rprod (lprod x y) z) = (rprod (rprod x y) z)",
+        "(rprod x (rprod y z)) = (rprod (rprod x y) z)",
+    )],
+    ("(bracket x y) = (neg (bracket y x))", "x y", _BILINEAR),
+)
+
+
+def _expand(text: str, profile: VarietyProfile) -> tuple[str, ...]:
+    """text once per star symbol it mentions (primary ones if {o}), else as is."""
+    if "{s}" not in text:
+        return (text,)
+    syms = profile.primary_binary_symbols() if "{o}" in text else profile.binary_symbols()
+    return tuple([text.format(s=s, o=profile.opposite_of(s)) for s in syms])
+
+
 @functools.lru_cache(maxsize=None)
-def _structure_checks(profile: VarietyProfile, core_only: bool) -> tuple[Law, ...]:
-    """structure_laws as engine laws, every variable over the carrier S."""
-    return tuple([
-        Law(i.name, tuple([(v, "S") for v in i.variables()]), (Equation(i.lhs, i.rhs, "S"),))
-        for i in structure_laws(profile, core_only)
-    ])
+def _structure_checks(profile: VarietyProfile, core_only: bool) -> tuple:
+    """Per structure law: its text, its engine law with every variable
+    over the carrier S, and its reduced law (None if it has no row) with
+    the texts that must have passed before it runs."""
+    reductions = {}
+    for text, over_g, rests in _REDUCTIONS:
+        needs = frozenset([r for t in rests for r in _expand(t, profile)])
+        for law_text in _expand(text, profile):
+            reductions[law_text] = (over_g.split(), needs)
+    out = []
+    for i in structure_laws(profile, core_only):
+        text = f"{format_term(i.lhs)} = {format_term(i.rhs)}"
+        eqs = (Equation(i.lhs, i.rhs, "S"),)
+        law = Law(i.name, tuple([(v, "S") for v in i.variables()]), eqs)
+        reduced, needs = None, None
+        if text in reductions:
+            over_g, needs = reductions[text]
+            typed = tuple([(v, "G" if v in over_g else "S") for v in i.variables()])
+            reduced = Law(i.name, typed, eqs)
+        out.append((text, law, reduced, needs))
+    return tuple(out)
 
 
 def carrier(s: Structure):
@@ -225,14 +291,54 @@ def operations(s: Structure, tag: str = "") -> dict:
 
 
 def verify_structure(s: Structure, core_only: bool = False) -> Report:
+    """Every structure law, in order. A law of the reduction table runs
+    over the additive generators once the laws it rests on have passed,
+    and over the whole carrier if they have not or if it fails there."""
     subject = f"structure {s.name}"
     if s.zero is None:
         item = CheckItem("add-zero-exists", False, (), "no two-sided identity in add table")
         return Report(subject, (item,))
     sorts, ops = {"S": carrier(s)}, operations(s)
     items = [CheckItem("add-zero-exists", True)]
-    items += [check(law, sorts, ops) for law in _structure_checks(s.profile, core_only)]
+    passed: set[str] = set()
+    for text, law, reduced, needs in _structure_checks(s.profile, core_only):
+        item = None
+        if reduced is not None and needs <= passed:
+            if "G" not in sorts:
+                sorts["G"] = ((s.zero, *_generating_data(s)[0]), s.elements)
+            item = check(reduced, sorts, ops)
+        if item is None or not item.ok:
+            item = check(law, sorts, ops)
+        if item.ok:
+            passed.add(text)
+        items.append(item)
     return Report(subject, tuple(items))
+
+
+def _generating_data(s: Structure, first=()):
+    """Additive generators (those of first not yet reached, then greedy
+    picks) plus a derivation of every nonzero element.
+
+    A derivation (element, parent, k) means element = parent + gens[k],
+    with parent zero or derived earlier; generator k is zero + gens[k].
+    So every element is a sum of generators, whatever the laws of add.
+    """
+    known = {s.zero}
+    order: list[tuple[int, int, int]] = []
+    gens: list[int] = []
+    for x in (*first, *range(s.n)):
+        if x in known:
+            continue
+        gens.append(x)
+        known.add(x)
+        order.append((x, s.zero, len(gens) - 1))
+        for e, _, _ in order:  # the loop also visits what it appends
+            for k, g in enumerate(gens):
+                z = s.add[e][g]
+                if z not in known:
+                    known.add(z)
+                    order.append((z, e, k))
+    return gens, order
 
 
 def evaluate_law(s: Structure, law_name: str, witness: tuple[str, ...]) -> bool:
