@@ -72,11 +72,11 @@ class VarietyProfile(Record):
 def make_profile(
     name: str,
     binary: Sequence[tuple[str, str]],
-    unary: Sequence[tuple[str, str] | UnaryOp],
+    unary: Sequence[tuple[str, str]],
     identities: Iterable[Identity],
 ) -> VarietyProfile:
     bops = tuple([BinaryOp(s, o) for s, o in binary])
-    uops = tuple([u if isinstance(u, UnaryOp) else UnaryOp(*u) for u in unary])
+    uops = tuple([UnaryOp(*u) for u in unary])
     idents = tuple(identities)
 
     syms = [b.symbol for b in bops]

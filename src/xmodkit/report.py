@@ -51,20 +51,13 @@ class Report(Record):
         return "\n".join(self.lines() + [f"RESULT {verdict} {self.subject}"])
 
 
-def passed(law: str, detail: str = "") -> CheckItem:
-    return CheckItem(law, True, (), detail)
-
-
-def failed(law: str, witness: tuple[str, ...] = (), detail: str = "") -> CheckItem:
-    return CheckItem(law, False, witness, detail)
-
-
 def merge_pre(name: str, sub: Report) -> CheckItem:
     """Summarize a component report as a single pre-check item."""
     if sub.ok:
-        return passed(name)
+        return CheckItem(name, True)
     first = sub.failures()[0]
-    return failed(name, first.witness, f"{first.law}" + (f": {first.detail}" if first.detail else ""))
+    detail = first.law + (f": {first.detail}" if first.detail else "")
+    return CheckItem(name, False, first.witness, detail)
 
 
 def check(lw: Law, sorts: Sorts, ops: Mapping[str, object]) -> CheckItem:

@@ -18,16 +18,16 @@ unary symbol where they mention one, and parsed once per profile by
 * centrality of star products under add,
 * opposite coherence: the table of a symbol's opposite is its transpose.
 
-Extra identities from the profile are checked after the core; passing
-``core_only=True`` skips them.
+Extra identities from the profile are checked after the core.
 
-Some laws are proved by a smaller scan. For a law of the
-``_REDUCTIONS`` table, once the laws it rests on have passed in the same
-report, a scan with some of its variables over the additive generators
-(plus zero) proves it for the whole carrier. A law whose rested-on laws
-have not passed, or that fails over the generators, is scanned over the
-whole carrier, so every FAIL item and its first witness are those of the
-full scan.
+Some laws are proved by a smaller scan. Once the laws it rests on have
+passed in the same report, a scan with some of its variables over the
+additive generators (plus zero) proves a law for the whole carrier: its
+row names those variables for a core law, and a profile identity runs
+every variable there when both its sides are additive in each. A law
+whose rested-on laws have not passed, or that fails over the
+generators, is scanned over the whole carrier, so every FAIL item and
+its first witness are those of the full scan.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import ClosureError, StructuralError
 from .profiles import VarietyProfile
 from .records import Record
 from .report import CheckItem, Report, check
-from .terms import Equation, Identity, Law, eval_term, format_term, parse_identity
+from .terms import Equation, Identity, Law, _additive, eval_term, format_term, parse_identity
 
 Table1 = tuple[int, ...]
 Table2 = tuple[Table1, ...]
@@ -181,14 +181,18 @@ def make_structure(
 # law lists
 
 
-_ASSOC = "(add (add x y) z) = (add x (add y z))"
+# A row is (name, "lhs = rhs"[, variables over G[, texts rested on]]).
+# Once the rested-on laws have passed, a scan with those variables over
+# the additive generators G (those of _generating_data, plus zero) proves
+# the law for the whole carrier. README.md gives the proofs.
 _GROUP_LAWS = (
-    ("add-assoc", _ASSOC),
+    ("add-assoc", "(add (add x y) z) = (add x (add y z))", "y"),  # Light's associativity test
     ("add-zero-left", "(add 0 x) = x"),
     ("add-zero-right", "(add x 0) = x"),
     ("add-neg-right", "(add x (neg x)) = 0"),
     ("add-neg-left", "(add (neg x) x) = 0"),
 )
+_UNREDUCED = ("", ())  # no variable over G, nothing rested on
 # {s} is a star symbol and {o} its opposite
 _DISTRIB = "({s} x (add y z)) = (add ({s} x y) ({s} x z))"
 _CENTRAL = "(add w ({s} x y)) = (add ({s} x y) w)"
@@ -196,86 +200,60 @@ _OPPOSITE = "({s} x y) = ({o} y x)"
 
 
 @functools.lru_cache(maxsize=None)
-def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Identity, ...]:
+def _law_rows(profile: VarietyProfile) -> tuple:
+    """(identity, variables over G, texts rested on) per structure law, in order.
+
+    A profile identity runs every variable over G when both its sides are
+    additive in each variable; it rests on the laws that make add an
+    abelian group and every star additive in both arguments.
+    """
     stars = profile.binary_symbols()
-    rows = list(_GROUP_LAWS)
-    rows += [(f"distrib[{s}]", _DISTRIB.format(s=s)) for s in stars]
+    monoid = tuple([row[1] for row in _GROUP_LAWS[:3]])
+    distrib = [(f"distrib[{s}]", _DISTRIB.format(s=s), "z", monoid) for s in stars]
+    unary = []
     for u in profile.unary:
         o = u.symbol
-        rows.append((f"unary-add[{o}]", f"({o} (add x y)) = (add ({o} x) ({o} y))"))
+        unary.append((f"unary-add[{o}]", f"({o} (add x y)) = (add ({o} x) ({o} y))"))
         for s in stars:
             rhs = f"({s} ({o} x) y)" if u.kind == "S" else f"({s} ({o} x) ({o} y))"
-            rows.append((f"unary-star[{o},{s}]", f"({o} ({s} x y)) = {rhs}"))
-    rows += [(f"central[{s}]", _CENTRAL.format(s=s)) for s in stars]
-    rows += [
+            unary.append((f"unary-star[{o},{s}]", f"({o} ({s} x y)) = {rhs}"))
+    central = [(f"central[{s}]", _CENTRAL.format(s=s), "w", monoid) for s in stars]
+    opposite = [
         (f"opposite[{s}]", _OPPOSITE.format(s=s, o=profile.opposite_of(s)))
         for s in profile.primary_binary_symbols()
     ]
-    laws = [parse_identity(*row) for row in rows]
-    if not core_only:
-        laws += [Identity(f"id[{i.name}]", i.lhs, i.rhs) for i in profile.identities]
-    return tuple(laws)
-
-
-# Laws that a scan with some variables over the additive generators G
-# (those of _generating_data, plus zero) proves, once the laws they rest
-# on have passed: law text ({s}: the law's star symbol), the variables
-# over G, and the texts rested on ({s}: every star symbol; with {o}, every
-# primary one). In each row the values of a reduced variable at which the
-# law holds for all other values are closed under add, so they are all
-# of S once they hold G. README.md gives the proofs.
-_MONOID = tuple([text for _, text in _GROUP_LAWS[:3]])
-# an abelian group under add, and every star additive in both arguments
-_BILINEAR = (*[text for _, text in _GROUP_LAWS], "(add x y) = (add y x)", _DISTRIB, _OPPOSITE)
-_REDUCTIONS = (
-    (_ASSOC, "y", ()),  # Light's associativity test
-    (_DISTRIB, "z", _MONOID),
-    (_CENTRAL, "w", _MONOID),
-    # each monomial holds each variable once: both sides are additive in each
-    *[(text, "x y z", _BILINEAR) for text in (
-        "(mul x (mul y z)) = (mul (mul x y) z)",
-        "(add (bracket x (bracket y z)) "
-        "(add (bracket y (bracket z x)) (bracket z (bracket x y)))) = 0",
-        "(bracket (bracket x y) z) = (add (bracket (bracket x z) y) (bracket x (bracket y z)))",
-        "(lprod x (lprod y z)) = (lprod (lprod x y) z)",
-        "(lprod x (rprod y z)) = (lprod (lprod x y) z)",
-        "(lprod (rprod x y) z) = (rprod x (lprod y z))",
-        "(rprod (lprod x y) z) = (rprod (rprod x y) z)",
-        "(rprod x (rprod y z)) = (rprod (rprod x y) z)",
-    )],
-    ("(bracket x y) = (neg (bracket y x))", "x y", _BILINEAR),
-)
-
-
-def _expand(text: str, profile: VarietyProfile) -> tuple[str, ...]:
-    """text once per star symbol it mentions (primary ones if {o}), else as is."""
-    if "{s}" not in text:
-        return (text,)
-    syms = profile.primary_binary_symbols() if "{o}" in text else profile.binary_symbols()
-    return tuple([text.format(s=s, o=profile.opposite_of(s)) for s in syms])
+    rows = []
+    for row in (*_GROUP_LAWS, *distrib, *unary, *central, *opposite):
+        name, text, over_g, rests = row + _UNREDUCED[len(row) - 2:]
+        rows.append((parse_identity(name, text), tuple(over_g.split()), rests))
+    bilinear = (*[row[1] for row in (*_GROUP_LAWS, *distrib, *opposite)], "(add x y) = (add y x)")
+    for i in profile.identities:
+        names = i.variables()
+        additive = all(_additive(t, v) for t in (i.lhs, i.rhs) for v in names)
+        rows.append((Identity(f"id[{i.name}]", i.lhs, i.rhs), names if additive else (), bilinear))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_checks(profile: VarietyProfile, core_only: bool) -> tuple:
+def structure_laws(profile: VarietyProfile, core_only: bool = False) -> tuple[Identity, ...]:
+    """The structure laws, in order; core_only (read by the bench tracer) drops the identities."""
+    laws = [i for i, _, _ in _law_rows(profile)]
+    return tuple(laws[: len(laws) - len(profile.identities)] if core_only else laws)
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_checks(profile: VarietyProfile) -> tuple:
     """Per structure law: its text, its engine law with every variable
-    over the carrier S, and its reduced law (None if it has no row) with
-    the texts that must have passed before it runs."""
-    reductions = {}
-    for text, over_g, rests in _REDUCTIONS:
-        needs = frozenset([r for t in rests for r in _expand(t, profile)])
-        for law_text in _expand(text, profile):
-            reductions[law_text] = (over_g.split(), needs)
+    over the carrier S, and its reduced law (None if no variable runs
+    over G) with the texts that must have passed before it runs."""
     out = []
-    for i in structure_laws(profile, core_only):
+    for i, over_g, rests in _law_rows(profile):
         text = f"{format_term(i.lhs)} = {format_term(i.rhs)}"
         eqs = (Equation(i.lhs, i.rhs, "S"),)
-        law = Law(i.name, tuple([(v, "S") for v in i.variables()]), eqs)
-        reduced, needs = None, None
-        if text in reductions:
-            over_g, needs = reductions[text]
-            typed = tuple([(v, "G" if v in over_g else "S") for v in i.variables()])
-            reduced = Law(i.name, typed, eqs)
-        out.append((text, law, reduced, needs))
+        typed = [(v, "G" if v in over_g else "S") for v in i.variables()]
+        law = Law(i.name, tuple([(v, "S") for v, _ in typed]), eqs)
+        reduced = Law(i.name, tuple(typed), eqs) if over_g else None
+        out.append((text, law, reduced, frozenset(rests)))
     return tuple(out)
 
 
@@ -290,10 +268,10 @@ def operations(s: Structure, tag: str = "") -> dict:
     return {tag + k: v for k, v in ops.items()}
 
 
-def verify_structure(s: Structure, core_only: bool = False) -> Report:
-    """Every structure law, in order. A law of the reduction table runs
-    over the additive generators once the laws it rests on have passed,
-    and over the whole carrier if they have not or if it fails there."""
+def verify_structure(s: Structure) -> Report:
+    """Every structure law, in order. A law with a reduction runs over the
+    additive generators once the laws it rests on have passed, and over
+    the whole carrier if they have not or if it fails there."""
     subject = f"structure {s.name}"
     if s.zero is None:
         item = CheckItem("add-zero-exists", False, (), "no two-sided identity in add table")
@@ -301,7 +279,7 @@ def verify_structure(s: Structure, core_only: bool = False) -> Report:
     sorts, ops = {"S": carrier(s)}, operations(s)
     items = [CheckItem("add-zero-exists", True)]
     passed: set[str] = set()
-    for text, law, reduced, needs in _structure_checks(s.profile, core_only):
+    for text, law, reduced, needs in _structure_checks(s.profile):
         item = None
         if reduced is not None and needs <= passed:
             if "G" not in sorts:

@@ -130,6 +130,21 @@ def term_vars(t: Term) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _additive(t: Term, v: str) -> bool:
+    """Whether t is additive in v by its shape: v itself, 0, an add or neg
+    of additive terms, or a binary star with v in exactly one argument and
+    that argument additive. Over an abelian group whose stars are additive
+    in each argument, such a t is additive in v."""
+    if isinstance(t, Var):
+        return t.name == v
+    if isinstance(t, Zero):
+        return True
+    if t.op in ("add", "neg"):
+        return all(_additive(a, v) for a in t.args)
+    holding = [a for a in t.args if v in term_vars(a)]
+    return len(t.args) == 2 and len(holding) == 1 and _additive(holding[0], v)
+
+
 def term_ops(t: Term) -> tuple[tuple[str, int], ...]:
     """All (op, arity) pairs appearing in t, in first-occurrence order."""
     if not isinstance(t, App):

@@ -449,15 +449,17 @@ def verify_universal_cone(
             raise StructuralError("equalizer cone needs the parallel morphism pair")
         search, levels = enumerate_xmod_morphisms, ("top", "bottom")
     elif kind in ("terminal", "initial"):
-        legs = ()
+        if legs:
+            raise StructuralError(f"{kind} cone takes no legs")
     else:
         raise StructuralError(f"unknown cone kind {kind!r}")
+    if parallel and kind not in ("pullback", "equalizer"):
+        raise StructuralError(f"{kind} cone takes no parallel pair")
     # the testers are guarded above; the searches from the candidate
     # (initial) keep at least the default search guard
     size = max(max_size, DEFAULT_MAX_SIZE)
     # mediators run from the tester to the candidate, backwards for initial
     ends = -1 if kind == "initial" else 1
-    pair = parallel if kind in ("pullback", "equalizer") else None
 
     def maps(w: XModMorphism, outer: XModMorphism | None = None) -> tuple:
         """w's tables at the levels, composed after outer's when given."""
@@ -472,7 +474,7 @@ def verify_universal_cone(
         cones = [
             tuple([maps(u) for u in us])
             for us in product(*into)
-            if pair is None or maps(us[0], pair[0]) == maps(us[-1], pair[1])
+            if not parallel or maps(us[0], parallel[0]) == maps(us[-1], parallel[1])
         ]
         mediators = search(*(t, candidate)[::ends], size)
         index = Counter(tuple([maps(w, leg) for leg in legs]) for w in mediators)

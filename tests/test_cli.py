@@ -540,6 +540,34 @@ def test_check_universal_size_guard(tmp_path, capsys):
     assert "ERROR" in err and "guard" in err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("terminal", "terminal cone takes no legs"),
+    ("product", "product cone takes no parallel pair"),
+])
+def test_check_universal_refuses_arguments_its_kind_does_not_take(tmp_path, capsys, kind, message):
+    xm = write_zoo_xmod(tmp_path, "xm_z2_z4")
+    run(capsys, "limit", "slice-product", str(xm), str(xm), "-o", str(tmp_path / "sp.mci"))
+    legs = {"terminal": ["sp_fst.mci"], "product": ["sp_fst.mci", "sp_snd.mci"]}[kind]
+    candidate = tmp_path / "sp.mci"
+    if kind == "terminal":
+        candidate = write_zoo_xmod(tmp_path, "xm_terminal_z4")
+    code, out, err = run(
+        capsys,
+        "check-universal",
+        kind,
+        str(candidate),
+        "--legs",
+        *[str(tmp_path / leg) for leg in legs],
+        "--parallel",
+        str(tmp_path / "sp_fst.mci"),
+        str(tmp_path / "sp_snd.mci"),
+        "--testers",
+        str(xm),
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_square_check_cli(tmp_path, capsys):
     xm = write_zoo_xmod(tmp_path, "xm_z2_z4")
     double = write_double(tmp_path)

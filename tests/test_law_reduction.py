@@ -1,7 +1,7 @@
 """Generator-reduced structure laws against the full scan.
 
 ``verify_structure`` runs some laws with variables over the additive
-generators (see ``structures._REDUCTIONS``). The full scan, every
+generators (see ``structures._law_rows``). The full scan, every
 variable over the carrier, is the oracle: over every zoo structure, the
 structures of the FAIL corpus, seeded single-entry perturbations at 64
 to 243 elements and two large PASS structures, the report must equal
@@ -28,14 +28,14 @@ def full_report(s):
         return verify_structure(s)
     sorts, ops = {"S": carrier(s)}, operations(s)
     items = [CheckItem("add-zero-exists", True)]
-    items += [check(law, sorts, ops) for _, law, _, _ in S._structure_checks(s.profile, False)]
+    items += [check(law, sorts, ops) for _, law, _, _ in S._structure_checks(s.profile)]
     return Report(f"structure {s.name}", tuple(items))
 
 
 def reduced_verdicts(s, oracle):
     """(law, reduced verdict, full verdict) for every reduced law whose
     rested-on laws pass in the oracle report."""
-    checks = S._structure_checks(s.profile, False)
+    checks = S._structure_checks(s.profile)
     passed = {text for (text, *_), item in zip(checks, oracle.items[1:]) if item.ok}
     sorts = {"S": carrier(s), "G": ((s.zero, *S._generating_data(s)[0]), s.elements)}
     ops = operations(s)
@@ -69,19 +69,40 @@ def corpus_structures():
     return out
 
 
-def test_table_rows_name_builtin_laws():
-    # a row that no builtin profile states would never reduce anything
-    profiles = builtin_profiles().values()
-    laws = {text: law for p in profiles for text, law, _, _ in S._structure_checks(p, False)}
+def _core(*stars):
+    """The reduced core laws of a profile with these star symbols."""
+    distrib, central = [f"distrib[{s}] z" for s in stars], [f"central[{s}] w" for s in stars]
+    return ["add-assoc y", *distrib, *central]
 
-    def stated(template):
-        return [laws[t] for p in profiles for t in S._expand(template, p) if t in laws]
 
-    for text, over_g, rests in S._REDUCTIONS:
-        assert stated(text), text
-        for law in stated(text):
-            assert set(over_g.split()) <= {v for v, _ in law.variables}
-        assert all(stated(r) for r in rests)
+ALGEBRA = _core("mul") + ["id[mul-assoc] x y z"]
+LIE = _core("bracket", "bracketop") + ["id[antisym] x y", "id[jacobi] x y z"]
+LEIBNIZ = _core("bracket", "bracketop") + ["id[leibniz] x y z"]
+DIALGEBRA = _core("lprod", "lprodop", "rprod", "rprodop") + [
+    f"id[dialg-{k}] x y z" for k in range(1, 6)
+]
+REDUCED = {
+    "group": _core(),
+    "comm-algebra-f2": ALGEBRA, "comm-algebra-f3": ALGEBRA, "comm-algebra-f5": ALGEBRA,
+    "lie-f3": LIE, "lie-f5": LIE,
+    "leibniz-f2": LEIBNIZ, "leibniz-f3": LEIBNIZ,
+    "dialgebra-f2": DIALGEBRA,
+}
+
+
+def test_builtin_profiles_reduce_the_pinned_laws():
+    # a lost reduction would only slow the scan down, so pin every one:
+    # each reduced law with its variables over the generators
+    found = {
+        name: [
+            " ".join([reduced.name, *[v for v, sort in reduced.variables if sort == "G"]])
+            for _, _, reduced, _ in S._structure_checks(p)
+            if reduced is not None
+        ]
+        for name, p in builtin_profiles().items()
+    }
+    assert found == REDUCED
+    assert sum(map(len, found.values())) == 53
 
 
 def test_reduced_scans_agree_on_the_zoo_and_the_fail_corpus():
@@ -219,3 +240,26 @@ def test_rested_on_laws_are_matched_by_text(monkeypatch):
     assert verify_structure(s).ok and verify_structure(odd).ok
     assert runs.count(("id[mul-assoc]", {"G"})) == 1
     assert runs.count(("id[mul-assoc]", {"S"})) == 1
+
+
+@pytest.mark.parametrize("identity, ok", [
+    (("mul-comm", "(mul x y) = (mul y x)"), True),
+    (("mul-zero", "(mul x y) = 0"), False),
+])
+def test_user_identity_additive_on_both_sides_is_reduced(monkeypatch, identity, ok):
+    # a user profile over Z2 x Z2 whose mul is a symmetric bilinear form
+    rows = [("add-comm", "(add x y) = (add y x)"), identity]
+    prof = make_profile("z2z2mul", [("mul", "mul")], [], [parse_identity(*r) for r in rows])
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+    add = tuple(tuple(pairs.index(((a + c) % 2, (b + d) % 2)) for c, d in pairs) for a, b in pairs)
+    mul = tuple(tuple(pairs.index(((a * c + b * d) % 2, 0)) for c, d in pairs) for a, b in pairs)
+    s = make_structure("z2z2", prof, ("00", "01", "10", "11"), add, (0, 1, 2, 3), {"mul": mul}, {})
+    runs = _spy(monkeypatch)
+    rep = verify_structure(s)
+    law = f"id[{identity[0]}]"
+    assert (law, {"G"}) in runs
+    # a failing reduced scan hands over to the full scan, which names the witness
+    assert ((law, {"S"}) in runs) is not ok
+    assert rep.ok is ok
+    monkeypatch.undo()
+    assert rep == full_report(s)

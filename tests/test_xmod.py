@@ -382,6 +382,12 @@ def test_universal_cone_rejects_malformed_requests():
          "equalizer cone needs one inclusion leg"),
         (("equalizer", xm), {"legs": (ident,)}, "equalizer cone needs the parallel morphism pair"),
         (("coproduct", xm), {}, "unknown cone kind 'coproduct'"),
+        (("terminal", xm), {"legs": (ident,)}, "terminal cone takes no legs"),
+        (("initial", xm), {"legs": (ident,), "parallel": (ident, ident)},
+         "initial cone takes no legs"),
+        (("terminal", xm), {"parallel": (ident, ident)}, "terminal cone takes no parallel pair"),
+        (("product", prod), {"legs": (p1, p2), "parallel": (ident, ident)},
+         "product cone takes no parallel pair"),
     ]
     for args, kwargs, message in cases:
         with pytest.raises(StructuralError) as err:
