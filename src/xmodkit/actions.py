@@ -274,7 +274,3 @@ def check_derived_action(act: DerivedAction) -> Report:
         detail = f"lhs={ids[lhs]} rhs={ids[rhs]}"
         items.append(CheckItem("cond-12", False, prov[u] + prov[v], detail))
     return Report(f"action {act.name}", tuple(items))
-
-
-def is_derived_action(act: DerivedAction) -> bool:
-    return check_derived_action(act).ok

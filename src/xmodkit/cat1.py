@@ -5,7 +5,10 @@ e and two retractions s, t (source and target). Both retractions split e,
 and the two kernels annihilate each other: additive commutators vanish
 and every star product between them is zero. Such objects translate back
 and forth to crossed modules; both translations are implemented here and
-the roundtrips are exercised in the tests.
+the roundtrips are exercised in the tests. Morphisms share the crossed
+modules' verifier, Hom search and isomorphism finder; the square laws and
+the big-major search ``_big_search``, pinned at the embedded base's
+generators, stay here.
 """
 
 from __future__ import annotations
@@ -17,18 +20,17 @@ from .errors import StructuralError
 from .limits import same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
-    _bijective,
+    _level_homs,
+    _level_iso,
     _pinned_pairs,
-    _search_guard,
     _validate_endpoints,
-    enumerate_morphisms,
     morphism_report,
 )
 from .records import Record
 from .report import CheckItem, Report, check, merge_pre
 from .structures import Morphism, Structure, _generating_data, carrier, operations, verify_structure
 from .terms import law_filter, law_table
-from .xmod import CrossedModule, XModMorphism, make_xmod
+from .xmod import CrossedModule, XModMorphism, _level_report, make_xmod
 
 
 class Cat1Object(Record):
@@ -45,6 +47,10 @@ class Cat1Object(Record):
     def base(self) -> Structure:
         return self.embed.dom
 
+    @property
+    def levels(self) -> tuple[Structure, Structure]:
+        return self.embed.cod, self.embed.dom
+
 
 class Cat1Morphism(Record):
     name: str
@@ -52,6 +58,10 @@ class Cat1Morphism(Record):
     cod: Cat1Object
     big_map: Morphism
     base_map: Morphism
+
+    @property
+    def maps(self) -> tuple[Morphism, Morphism]:
+        return self.big_map, self.base_map
 
 
 def make_cat1(name: str, embed: Morphism, src: Morphism, tgt: Morphism) -> Cat1Object:
@@ -121,28 +131,11 @@ def _square_env(dom: Cat1Object, cod: Cat1Object):
         for tag, c in (("D", dom), ("C", cod))
         for leg in ("embed", "src", "tgt")
     }
-    return sorts, ops
+    return law_table(_CAT1_SQUARES), sorts, ops
 
 
 def verify_cat1_morphism(m: Cat1Morphism) -> Report:
-    if not (
-        same_structure(m.big_map.dom, m.dom.big)
-        and same_structure(m.big_map.cod, m.cod.big)
-    ):
-        raise StructuralError(f"morphism {m.name}: big endpoints do not match")
-    if not (
-        same_structure(m.base_map.dom, m.dom.base)
-        and same_structure(m.base_map.cod, m.cod.base)
-    ):
-        raise StructuralError(f"morphism {m.name}: base endpoints do not match")
-    items: list[CheckItem] = [
-        merge_pre("pre:big", morphism_report(m.big_map)),
-        merge_pre("pre:base", morphism_report(m.base_map)),
-    ]
-    sorts, ops = _square_env(m.dom, m.cod)
-    ops.update(phi=m.big_map.map, psi=m.base_map.map)
-    items += [check(lw, sorts, ops) for lw in law_table(_CAT1_SQUARES)]
-    return Report(f"cat1 morphism {m.name}", tuple(items))
+    return _level_report(m, "cat1 morphism", ("big", "base"), _square_env, ("phi", "psi"))
 
 
 def xmod_to_cat1(xm: CrossedModule, name: Optional[str] = None) -> Cat1Object:
@@ -208,7 +201,7 @@ def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, keep=None):
             and (keep is None or keep(g, y))
         ]
 
-    holds = law_filter(law_table(_CAT1_SQUARES), *_square_env(dom, cod), "psi", "phi")
+    holds = law_filter(*_square_env(dom, cod), "psi", "phi")
     seeds = [dom.embed.map[q] for q in _generating_data(dom.base)[0]]
     pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds, seeds)
     return [
@@ -221,20 +214,11 @@ def enumerate_cat1_morphisms(
     dom: Cat1Object, cod: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[Cat1Morphism]:
     """All (big, base) morphism pairs, big-major, that pass the squares."""
-    _search_guard(dom.big, cod.big, max_size)
-    bases = enumerate_morphisms(dom.base, cod.base, max_size)
-    return _big_search(dom, cod, bases, lambda k: f"c1m{k}_{dom.name}_{cod.name}")
+    return _level_homs(dom, cod, _big_search, "c1m", max_size)
 
 
 def find_cat1_isomorphism(
     a: Cat1Object, b: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Cat1Morphism]:
     """First morphism, big-major, that is bijective at both levels, or None."""
-    if a.big.profile.name != b.big.profile.name:
-        return None
-    if a.big.n != b.big.n or a.base.n != b.base.n:
-        return None
-    _search_guard(a.big, b.big, max_size)
-    bases = [f for f in enumerate_morphisms(a.base, b.base, max_size) if _bijective(f)]
-    isos = _big_search(a, b, bases, lambda k: f"iso_{a.name}_{b.name}")
-    return next((f for f in isos if _bijective(f.big_map)), None)
+    return _level_iso(a, b, _big_search, max_size)

@@ -9,12 +9,16 @@ tuple of generator images from one candidate list per generator, extends
 it along recorded sum derivations and keeps the tables that pass the law
 table ``morphism_report`` runs, bound once per search. Each list holds
 the elements whose order divides the generator's, and ``_pinned_pairs``
-(crossed module and cat1 morphisms) fixes each lower level map and cuts
-the lists by the square laws at each generator. ``_bijective`` is the
-isomorphism test of every ``find_*`` function, and ``find_isomorphism``
-takes the least bijective table ``enumerate_morphisms`` lists. The tests
-keep a brute-force scan and the unpinned route (full Hom sets, then the
-square laws) as oracles."""
+fixes each lower level map and cuts the lists by the square laws at each
+generator. ``_bijective`` is the isomorphism test of every ``find_*``
+function, and ``find_isomorphism`` takes the least bijective table
+``enumerate_morphisms`` lists. Crossed modules and cat1-objects are
+two-level kinds: an object's ``levels`` and a morphism's ``maps`` are
+(upper, lower), and one Hom search ``_level_homs`` and one isomorphism
+finder ``_level_iso`` serve both, each running the kind's own pinned
+search ``search(dom, cod, lowers, name)`` of upper maps under lower maps.
+The tests keep a brute-force scan and the unpinned route (full Hom sets,
+then the square laws) as oracles."""
 
 from __future__ import annotations
 
@@ -124,10 +128,6 @@ def ideal_report(sub: Subobject) -> Report:
     return Report(f"ideal {sub.induced.name}", tuple([check(lw, sorts, ops) for lw in laws]))
 
 
-def is_ideal(sub: Subobject) -> bool:
-    return ideal_report(sub).ok
-
-
 # ---------------------------------------------------------------------------
 # search
 
@@ -210,9 +210,7 @@ def find_isomorphism(
     a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Morphism]:
     """The least bijective morphism of ``enumerate_morphisms``, or None."""
-    if a.profile.name != b.profile.name:
-        return None
-    if a.n != b.n:
+    if a.profile.name != b.profile.name or a.n != b.n:
         return None
     if max(a.n, b.n) > max_size:
         raise SizeGuardError(f"find_isomorphism: carrier {a.n} exceeds guard {max_size}")
@@ -226,3 +224,23 @@ def find_isomorphism(
         if _bijective(f):
             return Morphism(f"iso_{a.name}_{b.name}", a, b, f.map)
     return None
+
+
+def _level_homs(dom, cod, search, name: str, max_size: int) -> list:
+    """Every morphism dom -> cod, named <name><k>_<dom>_<cod>."""
+    _search_guard(dom.levels[0], cod.levels[0], max_size)
+    lowers = enumerate_morphisms(dom.levels[1], cod.levels[1], max_size)
+    return search(dom, cod, lowers, lambda k: f"{name}{k}_{dom.name}_{cod.name}")
+
+
+def _level_iso(a, b, search, max_size: int):
+    """The first morphism a -> b bijective at both levels, or None (at once
+    if the profiles or a level's sizes differ)."""
+    if a.levels[0].profile.name != b.levels[0].profile.name or any(
+        x.n != y.n for x, y in zip(a.levels, b.levels)
+    ):
+        return None
+    _search_guard(a.levels[0], b.levels[0], max_size)
+    lowers = [f for f in enumerate_morphisms(a.levels[1], b.levels[1], max_size) if _bijective(f)]
+    isos = search(a, b, lowers, lambda k: f"iso_{a.name}_{b.name}")
+    return next((f for f in isos if _bijective(f.maps[0])), None)

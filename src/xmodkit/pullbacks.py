@@ -6,10 +6,11 @@ the boundary; the new base acts through the morphism on the first
 coordinate and by conjugation or stars on the second. Split objects pull
 back on triples (outer, middle, outer) whose outer coordinates map to
 the source and target of the middle one. Both constructions come with a
-projection and a mediator recipe; the mediator scans run under the
-identity lower level, built directly, and the two routes around the square
-(translate then pull back, pull back then translate) are compared by
-isomorphism search.
+projection; one fill-in ``_fill_in`` (each kind gives its fibre columns)
+and one scan ``_mediator_scan`` (under the identity lower level, built
+directly, with the kind's search) serve both kinds' mediators. The two
+routes around the square (translate then pull back, pull back then
+translate) are compared by isomorphism search.
 """
 
 from __future__ import annotations
@@ -68,6 +69,35 @@ def pullback_xmod(
     return out, proj
 
 
+def _fill_in(pb, proj, f, comps, keep, values):
+    """The unique fill-in for f onto the pullback pb, projection proj: pb's
+    upper carrier is the rows of the columns keep over comps, and f's upper
+    element goes to the row of values at it; the lower level stays fixed."""
+    if not all(map(same_structure, f.cod.levels, proj.cod.levels)):
+        raise StructuralError(f"mediator for {f.name}: codomain differs")
+    (upper, lower), (f_upper, f_lower) = pb.levels, f.dom.levels
+    if f.maps[1].map != proj.maps[1].map or not same_structure(f_lower, lower):
+        raise StructuralError(f"mediator for {f.name}: base change does not match")
+    rows = _Restriction(upper.name, comps, list(zip(*keep)))
+    image = rows.image(values, f"med_{f.name}", f_upper.elements)
+    return f.__class__(
+        f"med_{f.name}", f.dom, pb, Morphism(f"med_{f.name}", f_upper, upper, image),
+        Morphism(f"id_{lower.name}", f_lower, lower, tuple(range(lower.n))),
+    )
+
+
+def _mediator_scan(pb, proj, f, search, max_size: int) -> list:
+    """All morphisms into the pullback pb that solve the square of f, named
+    med<k>_<f>: the identity lower level if f's is pb's, each upper
+    generator g into the fibre of proj's upper map over f's image of g."""
+    (upper, lower), (f_upper, f_lower) = pb.levels, f.dom.levels
+    _search_guard(f_upper, upper, max_size)
+    over, leg = proj.maps[0].map, f.maps[0].map
+    keep = lambda g, y: over[y] == leg[g]  # noqa: E731
+    lowers = [identity_morphism(lower)] if same_structure(f_lower, lower) else []
+    return search(f.dom, pb, lowers, lambda k: f"med{k}_{f.name}", keep=keep)
+
+
 def xmod_pullback_mediator(
     pb: CrossedModule, proj: XModMorphism, f: XModMorphism
 ) -> XModMorphism:
@@ -76,22 +106,9 @@ def xmod_pullback_mediator(
     f must share the projection's codomain and base map; the mediator
     pairs each element with its boundary value and keeps the base fixed.
     """
-    if not (
-        same_structure(f.cod.c1, proj.cod.c1) and same_structure(f.cod.c0, proj.cod.c0)
-    ):
-        raise StructuralError(f"mediator for {f.name}: codomain differs")
-    if f.bottom.map != proj.bottom.map or not same_structure(f.dom.c0, pb.c0):
-        raise StructuralError(f"mediator for {f.name}: base change does not match")
-    fiber = _Restriction(
-        pb.c1.name, (proj.cod.c1, pb.c0), list(zip(proj.top.map, pb.boundary.map))
-    )
-    tops = fiber.image([f.top.map, f.dom.boundary.map], f"med_{f.name}", f.dom.c1.elements)
-    return XModMorphism(
-        f"med_{f.name}",
-        f.dom,
-        pb,
-        Morphism(f"med_{f.name}", f.dom.c1, pb.c1, tops),
-        Morphism(f"id_{pb.c0.name}", f.dom.c0, pb.c0, tuple(range(pb.c0.n))),
+    return _fill_in(
+        pb, proj, f, (proj.cod.c1, pb.c0), (proj.top.map, pb.boundary.map),
+        [f.top.map, f.dom.boundary.map],
     )
 
 
@@ -104,11 +121,7 @@ def xmod_pullback_mediators(
     """All morphisms into the pullback that solve the square of the morphism
     f, named med<k>_<f>: identity bottom if f's base is the pullback's, top
     generator g into the fibre of proj.top over f.top(g)."""
-    _search_guard(f.dom.c1, pb.c1, max_size)
-    over, leg = proj.top.map, f.top.map
-    keep = lambda g, y: over[y] == leg[g]  # noqa: E731
-    bottoms = [identity_morphism(pb.c0)] if same_structure(f.dom.c0, pb.c0) else []
-    return _top_search(f.dom, pb, bottoms, lambda k: f"med{k}_{f.name}", keep=keep)
+    return _mediator_scan(pb, proj, f, _top_search, max_size)
 
 
 def pullback_xmod_morphism(
@@ -191,27 +204,10 @@ def cat1_pullback_mediator(
     pc: Cat1Object, proj: Cat1Morphism, g: Cat1Morphism
 ) -> Cat1Morphism:
     """Unique fill-in for a square onto the pulled-back split object."""
-    if not (
-        same_structure(g.cod.big, proj.cod.big)
-        and same_structure(g.cod.base, proj.cod.base)
-    ):
-        raise StructuralError(f"mediator for {g.name}: codomain differs")
-    if g.base_map.map != proj.base_map.map or not same_structure(g.dom.base, pc.base):
-        raise StructuralError(f"mediator for {g.name}: base change does not match")
-    triples = _Restriction(
-        pc.big.name,
-        (pc.base, proj.cod.big, pc.base),
-        list(zip(pc.src.map, proj.big_map.map, pc.tgt.map)),
-    )
-    maps = triples.image(
-        [g.dom.src.map, g.big_map.map, g.dom.tgt.map], f"med_{g.name}", g.dom.big.elements
-    )
-    return Cat1Morphism(
-        f"med_{g.name}",
-        g.dom,
-        pc,
-        Morphism(f"med_{g.name}", g.dom.big, pc.big, maps),
-        Morphism(f"id_{pc.base.name}", g.dom.base, pc.base, tuple(range(pc.base.n))),
+    return _fill_in(
+        pc, proj, g, (pc.base, proj.cod.big, pc.base),
+        (pc.src.map, proj.big_map.map, pc.tgt.map),
+        [g.dom.src.map, g.big_map.map, g.dom.tgt.map],
     )
 
 
@@ -224,11 +220,7 @@ def cat1_pullback_mediators(
     """All morphisms into the pullback that solve the square of the morphism
     g, named med<k>_<g>: identity base if g's base is the pullback's, big
     generator k into the fibre of proj's big map over g's image of k."""
-    _search_guard(g.dom.big, pc.big, max_size)
-    over, leg = proj.big_map.map, g.big_map.map
-    keep = lambda k, y: over[y] == leg[k]  # noqa: E731
-    bases = [identity_morphism(pc.base)] if same_structure(g.dom.base, pc.base) else []
-    return _big_search(g.dom, pc, bases, lambda k: f"med{k}_{g.name}", keep=keep)
+    return _mediator_scan(pc, proj, g, _big_search, max_size)
 
 
 def square_commutes(

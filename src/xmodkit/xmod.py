@@ -6,6 +6,9 @@ reports every action as conjugation (and the matching star rule), and
 elements of the domain act on each other the way their boundary images
 do. Slice constructions keep one base fixed and only move the top level;
 fibre products and slice pullbacks are one fibre with the diagonal action.
+``_level_report`` verifies the morphisms of both two-level kinds, crossed
+modules and cat1-objects; the square laws and the boundary-pinned top
+search ``_top_search`` stay here, per kind.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .limits import equalizer, fiber_product, same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     UNIVERSAL_MAX_SIZE,
-    _bijective,
+    _level_homs,
+    _level_iso,
     _pinned_pairs,
     _search_guard,
     compose,
-    enumerate_morphisms,
     identity_morphism,
     morphism_report,
 )
@@ -61,6 +64,10 @@ class CrossedModule(Record):
     def c0(self) -> Structure:
         return self.boundary.cod
 
+    @property
+    def levels(self) -> tuple[Structure, Structure]:
+        return self.boundary.dom, self.boundary.cod
+
 
 class XModMorphism(Record):
     name: str
@@ -68,6 +75,10 @@ class XModMorphism(Record):
     cod: CrossedModule
     top: Morphism
     bottom: Morphism
+
+    @property
+    def maps(self) -> tuple[Morphism, Morphism]:
+        return self.top, self.bottom
 
 
 def make_xmod(name: str, boundary: Morphism, action: DerivedAction) -> CrossedModule:
@@ -132,20 +143,23 @@ def _square_env(dom: CrossedModule, cod: CrossedModule):
     return law_table(_SQUARE_LAWS, dom.c0.profile.binary_symbols()), sorts, ops
 
 
-def verify_xmod_morphism(m: XModMorphism) -> Report:
-    if m.top.dom is not m.dom.c1 or m.top.cod is not m.cod.c1:
-        if not (same_structure(m.top.dom, m.dom.c1) and same_structure(m.top.cod, m.cod.c1)):
-            raise StructuralError(f"morphism {m.name}: top endpoints do not match")
-    if not (same_structure(m.bottom.dom, m.dom.c0) and same_structure(m.bottom.cod, m.cod.c0)):
-        raise StructuralError(f"morphism {m.name}: bottom endpoints do not match")
-    items: list[CheckItem] = [
-        merge_pre("pre:top", morphism_report(m.top)),
-        merge_pre("pre:bottom", morphism_report(m.bottom)),
-    ]
-    laws, sorts, ops = _square_env(m.dom, m.cod)
-    ops.update(top=m.top.map, bot=m.bottom.map)
+def _level_report(m, subject: str, words, env, free) -> Report:
+    """m's maps checked at each level named by words: endpoints, then their
+    laws as pre:<word>, then the square laws env gives, the maps bound to free."""
+    for word, f, d, c in zip(words, m.maps, m.dom.levels, m.cod.levels):
+        if not (same_structure(f.dom, d) and same_structure(f.cod, c)):
+            raise StructuralError(f"morphism {m.name}: {word} endpoints do not match")
+    items = [merge_pre(f"pre:{word}", morphism_report(f)) for word, f in zip(words, m.maps)]
+    laws, sorts, ops = env(m.dom, m.cod)
+    ops.update(zip(free, [f.map for f in m.maps]))
     items += [check(lw, sorts, ops) for lw in laws]
-    return Report(f"crossed module morphism {m.name}", tuple(items))
+    return Report(f"{subject} {m.name}", tuple(items))
+
+
+def verify_xmod_morphism(m: XModMorphism) -> Report:
+    return _level_report(
+        m, "crossed module morphism", ("top", "bottom"), _square_env, ("top", "bot")
+    )
 
 
 def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
@@ -160,19 +174,11 @@ def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
 
 
 def xmod_identity(xm: CrossedModule) -> XModMorphism:
-    return XModMorphism(
-        f"id_{xm.name}", xm, xm, identity_morphism(xm.c1), identity_morphism(xm.c0)
-    )
+    return XModMorphism(f"id_{xm.name}", xm, xm, *map(identity_morphism, xm.levels))
 
 
 def compose_xmod_morphisms(g: XModMorphism, f: XModMorphism) -> XModMorphism:
-    return XModMorphism(
-        f"{g.name}.{f.name}",
-        f.dom,
-        g.cod,
-        compose(g.top, f.top),
-        compose(g.bottom, f.bottom),
-    )
+    return XModMorphism(f"{g.name}.{f.name}", f.dom, g.cod, *map(compose, g.maps, f.maps))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +326,10 @@ def slice_product(
     if not same_structure(xm1.c0, xm2.c0):
         raise StructuralError(f"product of {xm1.name} and {xm2.name}: bases differ")
     term = slice_terminal(xm1.c0)
-    f = XModMorphism(
-        f"bang_{xm1.name}", xm1, term, xm1.boundary, identity_morphism(xm1.c0)
-    )
-    g = XModMorphism(
-        f"bang_{xm2.name}", xm2, term, xm2.boundary, identity_morphism(xm2.c0)
-    )
+    f, g = [
+        XModMorphism(f"bang_{x.name}", x, term, x.boundary, identity_morphism(x.c0))
+        for x in (xm1, xm2)
+    ]
     return slice_pullback(f, g, name=name or f"prod_{xm1.name}_{xm2.name}")
 
 
@@ -395,23 +399,14 @@ def enumerate_xmod_morphisms(
     dom: CrossedModule, cod: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[XModMorphism]:
     """All (top, bottom) morphism pairs between two crossed modules."""
-    _search_guard(dom.c1, cod.c1, max_size)
-    bottoms = enumerate_morphisms(dom.c0, cod.c0, max_size)
-    return _top_search(dom, cod, bottoms, lambda k: f"xm{k}_{dom.name}_{cod.name}")
+    return _level_homs(dom, cod, _top_search, "xm", max_size)
 
 
 def find_xmod_isomorphism(
     a: CrossedModule, b: CrossedModule, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[XModMorphism]:
     """First morphism, bottom-major, that is bijective at both levels, or None."""
-    if a.c1.profile.name != b.c1.profile.name:
-        return None
-    if a.c1.n != b.c1.n or a.c0.n != b.c0.n:
-        return None
-    _search_guard(a.c1, b.c1, max_size)
-    bottoms = [f for f in enumerate_morphisms(a.c0, b.c0, max_size) if _bijective(f)]
-    isos = _top_search(a, b, bottoms, lambda k: f"iso_{a.name}_{b.name}")
-    return next((f for f in isos if _bijective(f.top)), None)
+    return _level_iso(a, b, _top_search, max_size)
 
 
 def verify_universal_cone(
@@ -436,7 +431,7 @@ def verify_universal_cone(
     for t in testers:
         if t.c1.n > max_size or t.c0.n > max_size:
             raise SizeGuardError(f"universal cone tester {t.name} exceeds guard {max_size}")
-    search, levels = enumerate_slice_morphisms, ("top",)
+    search, depth = enumerate_slice_morphisms, 1
     if kind in ("product", "pullback"):
         if len(legs) != 2:
             raise StructuralError(f"{kind} cone needs two legs")
@@ -447,7 +442,7 @@ def verify_universal_cone(
             raise StructuralError("equalizer cone needs one inclusion leg")
         if parallel is None or len(parallel) != 2:
             raise StructuralError("equalizer cone needs the parallel morphism pair")
-        search, levels = enumerate_xmod_morphisms, ("top", "bottom")
+        search, depth = enumerate_xmod_morphisms, 2
     elif kind in ("terminal", "initial"):
         if legs:
             raise StructuralError(f"{kind} cone takes no legs")
@@ -462,11 +457,9 @@ def verify_universal_cone(
     ends = -1 if kind == "initial" else 1
 
     def maps(w: XModMorphism, outer: XModMorphism | None = None) -> tuple:
-        """w's tables at the levels, composed after outer's when given."""
-        return tuple([
-            (compose(getattr(outer, lv), getattr(w, lv)) if outer else getattr(w, lv)).map
-            for lv in levels
-        ])
+        """w's tables at the first depth levels, composed after outer's when given."""
+        own = w.maps[:depth]
+        return tuple([u.map for u in (map(compose, outer.maps, own) if outer else own)])
 
     items: list[CheckItem] = []
     for t in testers:

@@ -13,7 +13,6 @@ from xmodkit.actions import (
     action_from_section,
     check_derived_action,
     conjugation_action,
-    is_derived_action,
     make_action,
     restrict_action,
     semidirect_product,
@@ -44,7 +43,7 @@ def test_inversion_action_passes():
     rep = check_derived_action(inversion_action())
     assert tuple(i.law for i in rep.items) == COND_NAMES
     assert rep.ok, rep.render()
-    assert is_derived_action(inversion_action())
+    assert check_derived_action(inversion_action()).ok
 
 
 def test_semidirect_of_inversion_is_symmetric():

@@ -213,6 +213,10 @@ def test_find_cat1_isomorphism_negative():
     a, b = xmod_to_cat1(xm), xmod_to_cat1(crushed)
     assert a.big.n == b.big.n
     assert find_cat1_isomorphism(a, b) is None
+    # equal sizes across profiles: None before any search
+    f2x = xmod_to_cat1(inclusion_xmod(oracle_poly(2, "f2x"), (0, 2)))
+    assert (f2x.big.n, f2x.base.n) == (a.big.n, a.base.n)
+    assert find_cat1_isomorphism(a, f2x) is None
 
 
 def test_find_cat1_isomorphism_sizes_differ():
@@ -224,6 +228,21 @@ def test_find_cat1_isomorphism_sizes_differ():
     assert (a.big.n, a.base.n, bigger.big.n, other_base.big.n, other_base.base.n) == (8, 4, 16, 8, 8)
     assert find_cat1_isomorphism(a, bigger, max_size=1) is None
     assert find_cat1_isomorphism(a, other_base, max_size=1) is None
+
+
+def test_cat1_morphism_endpoints_must_match():
+    z4 = oracle_cyclic(4, "z4")
+    c, term = xmod_to_cat1(xm_z2_z4()), xmod_to_cat1(slice_terminal(z4))
+    cases = [
+        (Cat1Morphism("m", c, c, identity_morphism(term.big), identity_morphism(c.base)),
+         "morphism m: big endpoints do not match"),
+        (Cat1Morphism("m", c, c, identity_morphism(c.big), identity_morphism(c.big)),
+         "morphism m: base endpoints do not match"),
+    ]
+    for m, message in cases:
+        with pytest.raises(StructuralError) as err:
+            verify_cat1_morphism(m)
+        assert str(err.value) == message
 
 
 def test_broken_square_detected():

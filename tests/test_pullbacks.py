@@ -10,6 +10,7 @@ import pytest
 
 from xmodkit.actions import conjugation_action, make_action, trivial_action
 from xmodkit.cat1 import (
+    Cat1Morphism,
     find_cat1_isomorphism,
     verify_cat1,
     verify_cat1_morphism,
@@ -37,6 +38,7 @@ from xmodkit.xmod import (
     make_xmod,
     verify_xmod,
     verify_xmod_morphism,
+    xmod_identity,
 )
 
 from conftest import hom, oracle_cyclic, oracle_poly
@@ -132,8 +134,26 @@ def test_mediator_requires_matching_base_change():
         Morphism("zero", inclusion_xmod(z4, (0,)).c1, z4, (0,)),
         identity_morphism(z4),
     )
-    with pytest.raises(StructuralError):
-        xmod_pullback_mediator(pb, proj, bad)
+    half = inclusion_xmod(z4, (0, 2), name="half")
+    c = base_cat1()
+    pc, cproj = pullback_cat1(c, double_into(c.base))
+    c_ident = Cat1Morphism("c_id", c, c, identity_morphism(c.big), identity_morphism(c.base))
+    c_half = xmod_to_cat1(half)
+    c_other = Cat1Morphism(
+        "c_other", c_half, c_half, identity_morphism(c_half.big), identity_morphism(c_half.base)
+    )
+    cases = [
+        (xmod_pullback_mediator, pb, proj, bad, "mediator for bad: base change does not match"),
+        (xmod_pullback_mediator, pb, proj, xmod_identity(half),
+         "mediator for id_half: codomain differs"),
+        (cat1_pullback_mediator, pc, cproj, c_ident,
+         "mediator for c_id: base change does not match"),
+        (cat1_pullback_mediator, pc, cproj, c_other, "mediator for c_other: codomain differs"),
+    ]
+    for mediator, target, projection, f, message in cases:
+        with pytest.raises(StructuralError) as err:
+            mediator(target, projection, f)
+        assert str(err.value) == message
     # a square that does not commute has no image in the fiber
     phi = double_into(z4)
     y = inclusion_xmod(phi.dom, (0,))

@@ -19,7 +19,7 @@ import xmodkit.cat1
 import xmodkit.morphisms
 import xmodkit.pullbacks
 import xmodkit.xmod
-from xmodkit.actions import restrict_action, trivial_action
+from xmodkit.actions import make_action, restrict_action, trivial_action
 from xmodkit.cat1 import xmod_to_cat1
 from xmodkit.errors import StructuralError
 from xmodkit.io import serialize_structure, serialize_xmod, serialize_xmodmorphism
@@ -42,6 +42,7 @@ from xmodkit.xmod import (
     slice_product,
     slice_pullback,
     slice_terminal,
+    verify_xmod,
     xmod_equalizer,
     xmod_fiber_product,
     xmod_identity,
@@ -170,11 +171,21 @@ def _z4_modules():
     return slice_terminal(z4), make_xmod("flat_z4", zero, trivial_action(z4, z4))
 
 
+def _z3_modules():
+    """z3 over z2 with the zero boundary, acted on trivially and by
+    inversion: equal carriers and boundary, different actions."""
+    z2, z3 = make_cyclic(2), make_cyclic(3)
+    zero = Morphism("zero", z3, z2, (0, 0, 0))
+    inv = make_action("inv", z2, z3, ((0, 1, 2), (0, 2, 1)), {})
+    return make_xmod("flat_z3", zero, trivial_action(z2, z3)), make_xmod("inv_z3", zero, inv)
+
+
 def test_slice_pullback_rejects_codomains_with_equal_carriers():
-    term, flat = _z4_modules()
-    with pytest.raises(StructuralError) as e:
-        slice_pullback(xmod_identity(term), xmod_identity(flat))
-    assert e.value.message == "slice_pullback: codomains differ"
+    for a, b in (_z4_modules(), _z3_modules()):
+        assert verify_xmod(a).ok and verify_xmod(b).ok
+        with pytest.raises(StructuralError) as e:
+            slice_pullback(xmod_identity(a), xmod_identity(b))
+        assert e.value.message == "slice_pullback: codomains differ"
 
 
 def test_xmod_equalizer_rejects_domains_with_equal_carriers():

@@ -162,6 +162,20 @@ def test_xmod_morphism_square_failure():
     assert twist.map[xm.boundary.map[x]] != term.boundary.map[xm.boundary.map[x]]
 
 
+def test_xmod_morphism_endpoints_must_match():
+    z4 = oracle_cyclic(4, "z4")
+    xm, term, ident = xm_z2_z4(), slice_terminal(z4), identity_morphism(z4)
+    cases = [
+        (XModMorphism("m", xm, term, ident, ident), "morphism m: top endpoints do not match"),
+        (XModMorphism("m", xm, term, xm.boundary, identity_morphism(xm.c1)),
+         "morphism m: bottom endpoints do not match"),
+    ]
+    for m, message in cases:
+        with pytest.raises(StructuralError) as err:
+            verify_xmod_morphism(m)
+        assert str(err.value) == message
+
+
 def test_identity_and_composition_of_xmod_morphisms():
     xm = xm_z2_z4()
     i = xmod_identity(xm)
