@@ -28,6 +28,7 @@ from .structures import (
     carrier,
     make_structure,
     operations,
+    same_structure,
 )
 from .terms import first_violation, law_table
 
@@ -124,7 +125,7 @@ def conjugation_action(
         return make_action(
             name or f"conj_{parent.name}", parent, parent, dot, dict(parent.star)
         )
-    if sub.parent is not parent:
+    if not same_structure(sub.parent, parent):
         raise StructuralError("conjugation_action: subobject belongs to a different parent")
     return restrict_action(
         name or f"conj_{sub.induced.name}", parent, sub.induced,
@@ -134,7 +135,7 @@ def conjugation_action(
 
 def action_from_section(proj: Morphism, sect: Morphism, name: str | None = None) -> DerivedAction:
     """Action of the base on the kernel of a split quotient map."""
-    if sect.dom is not proj.cod or sect.cod is not proj.dom:
+    if not (same_structure(sect.dom, proj.cod) and same_structure(sect.cod, proj.dom)):
         raise StructuralError("action_from_section: section endpoints do not match the projection")
     if not is_morphism(sect):
         raise StructuralError(f"action_from_section: {sect.name} is not a morphism")

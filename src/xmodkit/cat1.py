@@ -5,10 +5,11 @@ e and two retractions s, t (source and target). Both retractions split e,
 and the two kernels annihilate each other: additive commutators vanish
 and every star product between them is zero. Such objects translate back
 and forth to crossed modules; both translations are implemented here and
-the roundtrips are exercised in the tests. Morphisms share the crossed
-modules' verifier, Hom search and isomorphism finder; the square laws and
-the big-major search ``_big_search``, pinned at the embedded base's
-generators, stay here.
+the roundtrips are exercised in the tests. Legs meet at ``same_structure``
+carriers; ``xmod._same_object`` compares split objects by carriers and
+``tables`` (embed, src, tgt). The crossed modules' morphism verifier, Hom
+search and isomorphism finder serve here too; the square laws and the
+big-major search ``_big_search`` (embedded base generators first) stay here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional
 
 from .actions import action_from_section, semidirect_product
 from .errors import StructuralError
-from .limits import same_structure
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     _level_homs,
@@ -28,7 +28,8 @@ from .morphisms import (
 )
 from .records import Record
 from .report import CheckItem, Report, check, merge_pre
-from .structures import Morphism, Structure, _generating_data, carrier, operations, verify_structure
+from .structures import Morphism, Structure, _generating_data, carrier, operations, same_structure
+from .structures import verify_structure
 from .terms import law_filter, law_table
 from .xmod import CrossedModule, XModMorphism, _level_report, make_xmod
 
@@ -51,6 +52,10 @@ class Cat1Object(Record):
     def levels(self) -> tuple[Structure, Structure]:
         return self.embed.cod, self.embed.dom
 
+    @property
+    def tables(self) -> tuple:
+        return self.embed.map, self.src.map, self.tgt.map
+
 
 class Cat1Morphism(Record):
     name: str
@@ -65,7 +70,8 @@ class Cat1Morphism(Record):
 
 
 def make_cat1(name: str, embed: Morphism, src: Morphism, tgt: Morphism) -> Cat1Object:
-    """Bundle the three legs, re-pinning them onto shared endpoint objects."""
+    """Bundle the three legs as given; src and tgt must run between carriers
+    that are ``same_structure`` as embed's codomain and domain."""
     big, base = embed.cod, embed.dom
     for leg, which in ((src, "src"), (tgt, "tgt")):
         if not (same_structure(leg.dom, big) and same_structure(leg.cod, base)):
@@ -74,8 +80,6 @@ def make_cat1(name: str, embed: Morphism, src: Morphism, tgt: Morphism) -> Cat1O
         _validate_endpoints(leg)
     if len(set(embed.map)) != base.n:
         raise StructuralError(f"cat1 {name}: embedding {embed.name} is not injective")
-    src = Morphism(src.name, big, base, src.map)
-    tgt = Morphism(tgt.name, big, base, tgt.map)
     return Cat1Object(name, embed, src, tgt)
 
 
@@ -158,12 +162,10 @@ def xmod_to_cat1(xm: CrossedModule, name: Optional[str] = None) -> Cat1Object:
 def cat1_to_xmod(c: Cat1Object, name: Optional[str] = None) -> CrossedModule:
     """Crossed module on the source kernel; base acts through the embedding."""
     name = name or f"xmod_{c.name}"
-    src = Morphism(c.src.name, c.big, c.base, c.src.map)
-    embed = Morphism(c.embed.name, c.base, c.big, c.embed.map)
-    act = action_from_section(src, embed, name=f"act_{name}")
+    act = action_from_section(c.src, c.embed, name=f"act_{name}")
     # the acted structure is the kernel of src, in index order
     zero = c.base.zero
-    rows = tuple([c.tgt.map[p] for p, v in enumerate(src.map) if v == zero])
+    rows = tuple([c.tgt.map[p] for p, v in enumerate(c.src.map) if v == zero])
     return make_xmod(name, Morphism(f"bnd_{name}", act.acted, c.base, rows), act)
 
 

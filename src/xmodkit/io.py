@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError, StructuralError
 from .profiles import get_profile
-from .structures import Morphism, Structure, make_structure
+from .structures import Morphism, Structure, make_structure, same_structure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .actions import DerivedAction
@@ -462,8 +462,6 @@ def _write_structures(dirpath: Path, structs) -> None:
     for s in structs:
         name = _token(s.name)
         if name in seen:
-            from .limits import same_structure
-
             if not same_structure(seen[name], s):
                 raise StructuralError(f"two different structures share the name {name!r}")
             continue
@@ -477,10 +475,10 @@ def _save(kind: str, obj, path) -> None:
     ref_kind, keys = _KINDS[kind]
     parts = [getattr(obj, key) for key in keys]
     if ref_kind == "xmod":
-        from .xmod import _same_xmod
+        from .xmod import _same_object
 
         dom, cod = parts
-        if dom.name == cod.name and not _same_xmod(dom, cod):
+        if dom.name == cod.name and not _same_object(dom, cod):
             raise StructuralError(f"two different modules share the name {dom.name!r}")
         structs = [getattr(xm, key) for xm in parts for key in _KINDS["xmod"][1]]
         _write_structures(p.parent, structs)

@@ -3,25 +3,16 @@
 All constructions are componentwise on explicit pair carriers. The fiber
 product keeps only the pairs where the two legs agree; its tables are the
 product tables restricted to that subset, which is closed because the legs
-are morphisms.
+are morphisms. ``same_structure``, the carriers' sameness rule, lives in
+:mod:`structures` and is read from here too.
 """
 
 from __future__ import annotations
 
 from .errors import StructuralError
 from .morphisms import is_morphism
-from .structures import Morphism, Structure, Subobject, restricted_product, subobject
-
-
-def same_structure(a: Structure, b: Structure) -> bool:
-    return a is b or (
-        a.profile.name == b.profile.name
-        and a.elements == b.elements
-        and a.add == b.add
-        and a.neg == b.neg
-        and a.star == b.star
-        and a.omega == b.omega
-    )
+from .structures import Morphism, Structure, Subobject, restricted_product, same_structure
+from .structures import subobject
 
 
 def _pair_carrier(
@@ -57,18 +48,12 @@ def fiber_product(
     for leg in (alpha, beta):
         if not is_morphism(leg):
             raise StructuralError(f"fiber product leg {leg.name} is not a morphism")
+    # the legs share one codomain, so one profile and one zero: the pair of
+    # zeros is always kept
     a, b = alpha.dom, beta.dom
-    if a.profile.name != b.profile.name:
-        raise StructuralError(
-            f"fiber product needs one profile, got {a.profile.name} and {b.profile.name}"
-        )
     pairs = [
         (p, r) for p in range(a.n) for r in range(b.n) if alpha.map[p] == beta.map[r]
     ]
-    if not pairs:
-        raise StructuralError(
-            f"fiber product of {alpha.name} and {beta.name}: empty carrier"
-        )
     return _pair_carrier(name or f"fib_{a.name}_{b.name}", a, b, pairs)
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, SizeGuardError, StructuralError
 from .report import CheckItem, Report, check
 from .structures import Morphism, Structure, Subobject, _generating_data, carrier, operations
-from .structures import subobject
+from .structures import same_structure, subobject
 from .terms import law_filter, law_table
 
 
@@ -39,7 +39,7 @@ def identity_morphism(s: Structure) -> Morphism:
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f."""
-    if f.cod is not g.dom and f.cod != g.dom:
+    if not same_structure(f.cod, g.dom):
         raise StructuralError(f"cannot compose {g.name} after {f.name}: endpoint mismatch")
     return Morphism(f"{g.name}.{f.name}", f.dom, g.cod, tuple([g.map[v] for v in f.map]))
 

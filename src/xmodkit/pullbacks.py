@@ -6,9 +6,10 @@ the boundary; the new base acts through the morphism on the first
 coordinate and by conjugation or stars on the second. Split objects pull
 back on triples (outer, middle, outer) whose outer coordinates map to
 the source and target of the middle one. Both constructions come with a
-projection; one fill-in ``_fill_in`` (each kind gives its fibre columns)
-and one scan ``_mediator_scan`` (under the identity lower level, built
-directly, with the kind's search) serve both kinds' mediators. The two
+projection; one square check ``_square`` (codomain by ``_same_object``,
+then base map and lower level), one fill-in ``_fill_in`` (each kind gives
+its fibre columns) and one scan ``_mediator_scan`` (under the identity
+lower level, with the kind's search) serve both kinds' mediators. The two
 routes around the square (translate then pull back, pull back then
 translate) are compared by isomorphism search.
 """
@@ -28,14 +29,15 @@ from .cat1 import (
     xmod_to_cat1,
 )
 from .errors import StructuralError
-from .limits import fiber_product, same_structure
-from .morphisms import DEFAULT_MAX_SIZE, _search_guard, identity_morphism, is_morphism
+from .limits import fiber_product
+from .morphisms import DEFAULT_MAX_SIZE, _search_guard, is_morphism
 from .records import replace
 from .report import CheckItem, Report, merge_pre
-from .structures import Morphism, _Restriction, restricted_product
+from .structures import Morphism, _Restriction, restricted_product, same_structure
 from .xmod import (
     CrossedModule,
     XModMorphism,
+    _same_object,
     _top_search,
     compose_xmod_morphisms,
     inclusion_xmod,
@@ -69,33 +71,39 @@ def pullback_xmod(
     return out, proj
 
 
+def _square(pb, proj, f) -> Morphism:
+    """Both mediator routes' check that f lands in proj's codomain with its base
+    map from pb's lower level; returns the identity lower level of f's mediators."""
+    if not _same_object(f.cod, proj.cod):
+        raise StructuralError(f"mediator for {f.name}: codomain differs")
+    lower, f_lower = pb.levels[1], f.dom.levels[1]
+    if f.maps[1].map != proj.maps[1].map or not same_structure(f_lower, lower):
+        raise StructuralError(f"mediator for {f.name}: base change does not match")
+    return Morphism(f"id_{lower.name}", f_lower, lower, tuple(range(lower.n)))
+
+
 def _fill_in(pb, proj, f, comps, keep, values):
     """The unique fill-in for f onto the pullback pb, projection proj: pb's
     upper carrier is the rows of the columns keep over comps, and f's upper
     element goes to the row of values at it; the lower level stays fixed."""
-    if not all(map(same_structure, f.cod.levels, proj.cod.levels)):
-        raise StructuralError(f"mediator for {f.name}: codomain differs")
-    (upper, lower), (f_upper, f_lower) = pb.levels, f.dom.levels
-    if f.maps[1].map != proj.maps[1].map or not same_structure(f_lower, lower):
-        raise StructuralError(f"mediator for {f.name}: base change does not match")
+    lower = _square(pb, proj, f)
+    upper, f_upper = pb.levels[0], f.dom.levels[0]
     rows = _Restriction(upper.name, comps, list(zip(*keep)))
     image = rows.image(values, f"med_{f.name}", f_upper.elements)
     return f.__class__(
-        f"med_{f.name}", f.dom, pb, Morphism(f"med_{f.name}", f_upper, upper, image),
-        Morphism(f"id_{lower.name}", f_lower, lower, tuple(range(lower.n))),
+        f"med_{f.name}", f.dom, pb, Morphism(f"med_{f.name}", f_upper, upper, image), lower
     )
 
 
 def _mediator_scan(pb, proj, f, search, max_size: int) -> list:
     """All morphisms into the pullback pb that solve the square of f, named
-    med<k>_<f>: the identity lower level if f's is pb's, each upper
-    generator g into the fibre of proj's upper map over f's image of g."""
-    (upper, lower), (f_upper, f_lower) = pb.levels, f.dom.levels
-    _search_guard(f_upper, upper, max_size)
+    med<k>_<f>: once ``_square`` passes, the identity lower level and each
+    upper generator g into the fibre of proj's upper map over f's image of g."""
+    lower = _square(pb, proj, f)
+    _search_guard(f.dom.levels[0], pb.levels[0], max_size)
     over, leg = proj.maps[0].map, f.maps[0].map
     keep = lambda g, y: over[y] == leg[g]  # noqa: E731
-    lowers = [identity_morphism(lower)] if same_structure(f_lower, lower) else []
-    return search(f.dom, pb, lowers, lambda k: f"med{k}_{f.name}", keep=keep)
+    return search(f.dom, pb, [lower], lambda k: f"med{k}_{f.name}", keep=keep)
 
 
 def xmod_pullback_mediator(
@@ -119,8 +127,8 @@ def xmod_pullback_mediators(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[XModMorphism]:
     """All morphisms into the pullback that solve the square of the morphism
-    f, named med<k>_<f>: identity bottom if f's base is the pullback's, top
-    generator g into the fibre of proj.top over f.top(g)."""
+    f, named med<k>_<f>: f must pass the fill-in's square check; identity
+    bottom, top generator g into the fibre of proj.top over f.top(g)."""
     return _mediator_scan(pb, proj, f, _top_search, max_size)
 
 
@@ -218,8 +226,8 @@ def cat1_pullback_mediators(
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> list[Cat1Morphism]:
     """All morphisms into the pullback that solve the square of the morphism
-    g, named med<k>_<g>: identity base if g's base is the pullback's, big
-    generator k into the fibre of proj's big map over g's image of k."""
+    g, named med<k>_<g>: g must pass the fill-in's square check; identity
+    base, big generator k into the fibre of proj's big map over g's image of k."""
     return _mediator_scan(pc, proj, g, _big_search, max_size)
 
 

@@ -20,6 +20,9 @@ unary symbol where they mention one, and parsed once per profile by
 
 Extra identities from the profile are checked after the core.
 
+``same_structure`` is the one sameness rule for carriers, asked by every
+endpoint, codomain and square check of the package: names do not count.
+
 Some laws are proved by a smaller scan. Once the laws it rests on have
 passed in the same report, a scan with some of its variables over the
 additive generators (plus zero) proves a law for the whole carrier: its
@@ -33,7 +36,7 @@ its first witness are those of the full scan.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import ClosureError, StructuralError
@@ -72,6 +75,14 @@ class Structure(Record):
     def conj(self, i: int, j: int) -> int:
         """i + j - i"""
         return self.add[self.add[i][j]][self.neg[i]]
+
+
+_CARRIER = attrgetter("profile.name", "elements", "add", "neg", "star", "omega")
+
+
+def same_structure(a: Structure, b: Structure) -> bool:
+    """One profile, equal ids and equal tables; the name does not count."""
+    return a is b or _CARRIER(a) == _CARRIER(b)
 
 
 class Morphism(Record):

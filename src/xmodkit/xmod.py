@@ -7,8 +7,10 @@ elements of the domain act on each other the way their boundary images
 do. Slice constructions keep one base fixed and only move the top level;
 fibre products and slice pullbacks are one fibre with the diagonal action.
 ``_level_report`` verifies the morphisms of both two-level kinds, crossed
-modules and cat1-objects; the square laws and the boundary-pinned top
-search ``_top_search`` stay here, per kind.
+modules and cat1-objects, and ``_same_object`` is their one sameness
+rule: one kind, ``same_structure`` carriers at both ``levels`` and equal
+``tables`` (a module's boundary, dot and star tables). The square laws
+and the boundary-pinned top search ``_top_search`` stay here, per kind.
 """
 
 from __future__ import annotations
@@ -17,15 +19,9 @@ from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
 
-from .actions import (
-    DerivedAction,
-    check_derived_action,
-    conjugation_action,
-    make_action,
-    restrict_action,
-)
+from .actions import DerivedAction, check_derived_action, conjugation_action, restrict_action
 from .errors import IncompatibleActionError, SizeGuardError, StructuralError
-from .limits import equalizer, fiber_product, same_structure
+from .limits import equalizer, fiber_product
 from .morphisms import (
     DEFAULT_MAX_SIZE,
     UNIVERSAL_MAX_SIZE,
@@ -33,6 +29,7 @@ from .morphisms import (
     _level_iso,
     _pinned_pairs,
     _search_guard,
+    _validate_endpoints,
     compose,
     identity_morphism,
     morphism_report,
@@ -45,6 +42,7 @@ from .structures import (
     _Restriction,
     carrier,
     operations,
+    same_structure,
     subobject,
     verify_structure,
 )
@@ -68,6 +66,10 @@ class CrossedModule(Record):
     def levels(self) -> tuple[Structure, Structure]:
         return self.boundary.dom, self.boundary.cod
 
+    @property
+    def tables(self) -> tuple:
+        return self.boundary.map, self.action.dot, self.action.star_act
+
 
 class XModMorphism(Record):
     name: str
@@ -83,8 +85,7 @@ class XModMorphism(Record):
 
 def make_xmod(name: str, boundary: Morphism, action: DerivedAction) -> CrossedModule:
     c1, c0 = boundary.dom, boundary.cod
-    if len(boundary.map) != c1.n or any(not (0 <= v < c0.n) for v in boundary.map):
-        raise StructuralError(f"crossed module {name}: boundary map has wrong shape")
+    _validate_endpoints(boundary)
     if not same_structure(action.actor, c0) or not same_structure(action.acted, c1):
         raise StructuralError(
             f"crossed module {name}: action endpoints do not match the boundary"
@@ -162,14 +163,12 @@ def verify_xmod_morphism(m: XModMorphism) -> Report:
     )
 
 
-def _same_xmod(a: CrossedModule, b: CrossedModule) -> bool:
-    """Equal carriers, boundary and action tables."""
+def _same_object(a, b) -> bool:
+    """One two-level kind, the same carriers at both levels and equal tables."""
     return a is b or (
-        same_structure(a.c1, b.c1)
-        and same_structure(a.c0, b.c0)
-        and a.boundary.map == b.boundary.map
-        and a.action.dot == b.action.dot
-        and a.action.star_act == b.action.star_act
+        type(a) is type(b)
+        and all(map(same_structure, a.levels, b.levels))
+        and a.tables == b.tables
     )
 
 
@@ -242,15 +241,11 @@ def induced_xmod(f: XModMorphism, name: str | None = None) -> CrossedModule:
         raise StructuralError("induced_xmod: bottom level must be the identity")
     if not same_structure(f.dom.c0, f.cod.c0):
         raise StructuralError("induced_xmod: bases differ")
-    src, tgt = f.dom, f.cod
-    s = tgt.c1
-    bmap = tgt.boundary.map
-    dot = tuple([src.action.dot[bmap[b]] for b in range(s.n)])
-    star = {
-        sym: tuple([src.action.star_act[sym][bmap[b]] for b in range(s.n)])
-        for sym in s.profile.binary_symbols()
-    }
-    act = make_action(f"ind_{f.name}", s, src.c1, dot, star)
+    src, s = f.dom, f.cod.c1
+    act = restrict_action(
+        f"ind_{f.name}", s, src.c1, [(p,) for p in range(src.c1.n)],
+        [(src.action, f.cod.boundary.map)],
+    )
     bnd = Morphism(f"bnd_ind_{f.name}", src.c1, s, f.top.map)
     return make_xmod(name or f"ind_{f.name}", bnd, act)
 
@@ -306,7 +301,7 @@ def slice_pullback(
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
     """Pullback of two slice morphisms into a shared crossed module: the
     fibre of f.top and g.top over the shared base, with the diagonal action."""
-    if not _same_xmod(f.cod, g.cod):
+    if not _same_object(f.cod, g.cod):
         raise StructuralError("slice_pullback: codomains differ")
     for leg in (f, g):
         if not verify_xmod_morphism(leg).ok:
@@ -337,7 +332,7 @@ def xmod_equalizer(
     f: XModMorphism, g: XModMorphism, name: str | None = None
 ) -> tuple[CrossedModule, XModMorphism]:
     """Componentwise equalizer at both levels, with restricted structure."""
-    if not _same_xmod(f.dom, g.dom):
+    if not _same_object(f.dom, g.dom):
         raise StructuralError("xmod_equalizer: domains differ")
     e1 = equalizer(f.top, g.top, name=f"eq1_{f.name}_{g.name}")
     e0 = equalizer(f.bottom, g.bottom, name=f"eq0_{f.name}_{g.name}")

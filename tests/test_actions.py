@@ -249,6 +249,32 @@ def test_action_from_section_recovers_original():
     assert check_derived_action(back).ok
 
 
+def test_carrier_rule_refuses_other_tables():
+    z4 = oracle_cyclic(4, "z4")
+    with pytest.raises(StructuralError) as err:
+        conjugation_action(z4, subobject(oracle_cyclic(6, "z6"), (0, 3)))
+    assert str(err.value) == "conjugation_action: subobject belongs to a different parent"
+    p, _, proj, _ = semidirect_product(inversion_action())
+    stray = Morphism("stray", oracle_cyclic(3, "z3"), p, (0, 0, 0))
+    with pytest.raises(StructuralError) as err:
+        action_from_section(proj, stray)
+    assert str(err.value) == "action_from_section: section endpoints do not match the projection"
+
+
+def test_carrier_rule_accepts_renamed_copies():
+    # a parent or section endpoint with equal tables under another name is the same carrier
+    z4, w4 = oracle_cyclic(4, "z4"), oracle_cyclic(4, "w4")
+    copy = conjugation_action(w4, subobject(z4, (0, 2)))
+    assert copy.dot == conjugation_action(z4, subobject(z4, (0, 2))).dot
+    assert check_derived_action(copy).ok
+    act = inversion_action()
+    p, _, proj, sect = semidirect_product(act)
+    renamed = Morphism("renamed", oracle_cyclic(2, "w2"), p, sect.map)
+    back = action_from_section(proj, renamed)
+    assert back.dot == act.dot
+    assert check_derived_action(back).ok
+
+
 def test_action_from_section_rejects_non_section():
     act = inversion_action()
     p, inj, proj, sect = semidirect_product(act)

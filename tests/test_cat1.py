@@ -28,6 +28,7 @@ from xmodkit.xmod import (
     enumerate_xmod_morphisms,
     find_xmod_isomorphism,
     inclusion_xmod,
+    _same_object,
     make_xmod,
     slice_terminal,
     verify_xmod,
@@ -57,6 +58,20 @@ def hand_cat1():
     src = Morphism("s", big, z4, tuple(b for a, b in pairs))
     tgt = Morphism("t", big, z4, tuple((2 * a + b) % 4 for a, b in pairs))
     return make_cat1("hand", embed, src, tgt)
+
+
+def test_cat1_legs_meet_at_equal_carriers():
+    # a leg ending at a renamed copy of the base is kept as given
+    c = hand_cat1()
+    src = Morphism("s", c.big, oracle_cyclic(4, "w4"), c.src.map)
+    copy = make_cat1("copy", c.embed, src, c.tgt)
+    assert copy.src is src
+    assert verify_cat1(copy).ok
+    assert copy.tables == c.tables and _same_object(copy, c)
+    assert cat1_to_xmod(copy).tables == cat1_to_xmod(c).tables
+    # another tgt, or another kind, is another object
+    assert not _same_object(make_cat1("other", c.embed, c.src, c.src), c)
+    assert not _same_object(cat1_to_xmod(c), c)
 
 
 def test_hand_built_object_verifies_with_frozen_items():

@@ -63,6 +63,17 @@ def test_compose_and_identity(z2, z4):
     assert compose(f, identity_morphism(z2)).map == (0, 2)
 
 
+def test_compose_meets_at_equal_carriers(z2):
+    # a renamed copy of a carrier is the same carrier: the name does not count
+    z4, w4 = oracle_cyclic(4, "z4"), oracle_cyclic(4, "w4")
+    mod2, double = hom("mod2", w4, z2, (0, 1, 0, 1)), hom("double", z2, z4, (0, 2))
+    assert compose(mod2, double).map == (0, 0)
+    assert compose(mod2, double).dom is z2
+    with pytest.raises(StructuralError) as err:
+        compose(double, double)
+    assert str(err.value) == "cannot compose double after double: endpoint mismatch"
+
+
 def test_element_orders(z4):
     assert [element_order(z4, i) for i in range(4)] == [1, 4, 2, 4]
 

@@ -30,12 +30,13 @@ from xmodkit.pullbacks import (
     xmod_pullback_mediator,
     xmod_pullback_mediators,
 )
-from xmodkit.structures import Morphism
+from xmodkit.structures import Morphism, same_structure
 from xmodkit.xmod import (
     XModMorphism,
     find_xmod_isomorphism,
     inclusion_xmod,
     make_xmod,
+    slice_terminal,
     verify_xmod,
     verify_xmod_morphism,
     xmod_identity,
@@ -142,18 +143,42 @@ def test_mediator_requires_matching_base_change():
     c_other = Cat1Morphism(
         "c_other", c_half, c_half, identity_morphism(c_half.big), identity_morphism(c_half.base)
     )
+    # flat has the carriers of xm_z2_z4 but the zero boundary
+    z2 = oracle_cyclic(2, "z2")
+    xm_z2_z4 = make_xmod("xm_z2_z4", hom("double", z2, z4, (0, 2)), trivial_action(z4, z2))
+    flat = make_xmod("flat", hom("zero", z2, z4, (0, 0)), trivial_action(z4, z2))
+    assert verify_xmod(flat).ok
+    neg_pb, neg_proj = pullback_xmod(xm_z2_z4, hom("neg", z4, z4, (0, 3, 2, 1)))
+    id_pb, id_proj = pullback_xmod(xm_z2_z4, identity_morphism(z4))
+    c_pb, c_proj = pullback_cat1(xmod_to_cat1(xm_z2_z4), identity_morphism(z4))
+    c_flat = xmod_to_cat1(flat)
+    assert all(map(same_structure, c_flat.levels, c_proj.cod.levels))
+    assert c_flat.tgt.map != c_proj.cod.tgt.map
+    c_flat_id = Cat1Morphism(
+        "c_flat", c_flat, c_flat, identity_morphism(c_flat.big), identity_morphism(c_flat.base)
+    )
+    xm_routes = (xmod_pullback_mediator, xmod_pullback_mediators)
+    c1_routes = (cat1_pullback_mediator, cat1_pullback_mediators)
     cases = [
-        (xmod_pullback_mediator, pb, proj, bad, "mediator for bad: base change does not match"),
-        (xmod_pullback_mediator, pb, proj, xmod_identity(half),
-         "mediator for id_half: codomain differs"),
-        (cat1_pullback_mediator, pc, cproj, c_ident,
-         "mediator for c_id: base change does not match"),
-        (cat1_pullback_mediator, pc, cproj, c_other, "mediator for c_other: codomain differs"),
+        (xm_routes, pb, proj, bad, "mediator for bad: base change does not match"),
+        (xm_routes, pb, proj, xmod_identity(half), "mediator for id_half: codomain differs"),
+        (c1_routes, pc, cproj, c_ident, "mediator for c_id: base change does not match"),
+        (c1_routes, pc, cproj, c_other, "mediator for c_other: codomain differs"),
+        # the base map is not the one pulled back along
+        (xm_routes, neg_pb, neg_proj, xmod_identity(xm_z2_z4),
+         "mediator for id_xm_z2_z4: base change does not match"),
+        # the same carriers under another module, and other carriers
+        (xm_routes, id_pb, id_proj, xmod_identity(flat), "mediator for id_flat: codomain differs"),
+        (xm_routes, id_pb, id_proj, xmod_identity(slice_terminal(z4)),
+         "mediator for id_term_z4: codomain differs"),
+        # the same big and base tables under another tgt
+        (c1_routes, c_pb, c_proj, c_flat_id, "mediator for c_flat: codomain differs"),
     ]
-    for mediator, target, projection, f, message in cases:
-        with pytest.raises(StructuralError) as err:
-            mediator(target, projection, f)
-        assert str(err.value) == message
+    for routes, target, projection, f, message in cases:
+        for route in routes:  # the fill-in and the scan refuse alike
+            with pytest.raises(StructuralError) as err:
+                route(target, projection, f)
+            assert str(err.value) == message
     # a square that does not commute has no image in the fiber
     phi = double_into(z4)
     y = inclusion_xmod(phi.dom, (0,))
