@@ -174,7 +174,8 @@ def xmod_morphism_to_cat1(
     dom_c: Optional[Cat1Object] = None,
     cod_c: Optional[Cat1Object] = None,
 ) -> Cat1Morphism:
-    """Translate a crossed module morphism between the translated objects."""
+    """Translate a crossed module morphism between the translated objects;
+    dom_c and cod_c, when given, are trusted as those translations, unchecked."""
     dom_c = dom_c if dom_c is not None else xmod_to_cat1(m.dom)
     cod_c = cod_c if cod_c is not None else xmod_to_cat1(m.cod)
     dn, cn = m.dom.c0.n, m.cod.c0.n

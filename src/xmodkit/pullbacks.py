@@ -38,6 +38,7 @@ from .xmod import (
     CrossedModule,
     XModMorphism,
     _same_object,
+    _slice_leg,
     _top_search,
     compose_xmod_morphisms,
     inclusion_xmod,
@@ -139,9 +140,7 @@ def pullback_xmod_morphism(
 
     The result is the fill-in of h after the domain's projection.
     """
-    idm = tuple(range(h.dom.c0.n))
-    if h.bottom.map != idm or not same_structure(h.dom.c0, h.cod.c0):
-        raise StructuralError(f"pullback of {h.name}: base map must be the identity")
+    _slice_leg(h, f"pullback of {h.name}")
     pd, prd = pullback_xmod(h.dom, phi)
     pc, prc = pullback_xmod(h.cod, phi)
     name = name or f"pb_{h.name}"

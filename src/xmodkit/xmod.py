@@ -5,12 +5,12 @@ the codomain on the domain, subject to two table families: the boundary
 reports every action as conjugation (and the matching star rule), and
 elements of the domain act on each other the way their boundary images
 do. Slice constructions keep one base fixed and only move the top level;
-fibre products and slice pullbacks are one fibre with the diagonal action.
-``_level_report`` verifies the morphisms of both two-level kinds, crossed
-modules and cat1-objects, and ``_same_object`` is their one sameness
-rule: one kind, ``same_structure`` carriers at both ``levels`` and equal
-``tables`` (a module's boundary, dot and star tables). The square laws
-and the boundary-pinned top search ``_top_search`` stay here, per kind.
+fibre products (so slice products) and slice pullbacks are one fibre with
+the diagonal action. ``_level_report`` verifies the morphisms of both
+two-level kinds, and ``_same_object`` is their one sameness rule, asked at
+every join of a diagram: one kind, ``same_structure`` carriers at both
+``levels`` and equal ``tables``; slice legs are checked by ``_slice_leg``.
+The square laws and the boundary-pinned top search ``_top_search`` stay here.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def xmod_identity(xm: CrossedModule) -> XModMorphism:
 
 
 def compose_xmod_morphisms(g: XModMorphism, f: XModMorphism) -> XModMorphism:
+    if not _same_object(f.cod, g.dom):
+        raise StructuralError(f"cannot compose {g.name} after {f.name}: endpoint mismatch")
     return XModMorphism(f"{g.name}.{f.name}", f.dom, g.cod, *map(compose, g.maps, f.maps))
 
 
@@ -231,16 +233,21 @@ def xmod_fiber_product(
     return _fibre(xm1, xm2, xm1.boundary, xm2.boundary, name or f"fib_{xm1.name}_{xm2.name}")
 
 
+def _slice_leg(f: XModMorphism, who: str) -> None:
+    """Refuse f, for who, unless it is a slice morphism: identity bottom, one base."""
+    if f.bottom.map != tuple(range(f.dom.c0.n)):
+        raise StructuralError(f"{who}: bottom level must be the identity")
+    if not same_structure(f.dom.c0, f.cod.c0):
+        raise StructuralError(f"{who}: bases differ")
+
+
 def induced_xmod(f: XModMorphism, name: str | None = None) -> CrossedModule:
     """Rebase the domain of a slice morphism onto the codomain's top level.
 
     For f: (P, X) -> (S, X) with identity bottom, the result is P over S
     with boundary f.top; S acts through its own boundary into X.
     """
-    if f.bottom.map != tuple(range(f.dom.c0.n)):
-        raise StructuralError("induced_xmod: bottom level must be the identity")
-    if not same_structure(f.dom.c0, f.cod.c0):
-        raise StructuralError("induced_xmod: bases differ")
+    _slice_leg(f, "induced_xmod")
     src, s = f.dom, f.cod.c1
     act = restrict_action(
         f"ind_{f.name}", s, src.c1, [(p,) for p in range(src.c1.n)],
@@ -307,25 +314,16 @@ def slice_pullback(
         if not verify_xmod_morphism(leg).ok:
             raise StructuralError(f"slice_pullback: leg {leg.name} is not a morphism")
     for leg in (f, g):
-        if leg.bottom.map != tuple(range(leg.dom.c0.n)):
-            raise StructuralError("slice_pullback: bottom level must be the identity")
-        if not same_structure(leg.dom.c0, leg.cod.c0):
-            raise StructuralError("slice_pullback: bases differ")
+        _slice_leg(leg, "slice_pullback")
     return _fibre(f.dom, g.dom, f.top, g.top, name or f"pb_{f.dom.name}_{g.dom.name}")
 
 
 def slice_product(
     xm1: CrossedModule, xm2: CrossedModule, name: str | None = None
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """Binary product in the slice: pull back over the terminal object."""
-    if not same_structure(xm1.c0, xm2.c0):
-        raise StructuralError(f"product of {xm1.name} and {xm2.name}: bases differ")
-    term = slice_terminal(xm1.c0)
-    f, g = [
-        XModMorphism(f"bang_{x.name}", x, term, x.boundary, identity_morphism(x.c0))
-        for x in (xm1, xm2)
-    ]
-    return slice_pullback(f, g, name=name or f"prod_{xm1.name}_{xm2.name}")
+    """Binary product in the slice: the pullback over the terminal object,
+    whose cospan is the two boundaries, so their fibre (``xmod_fiber_product``)."""
+    return xmod_fiber_product(xm1, xm2, name or f"prod_{xm1.name}_{xm2.name}")
 
 
 def xmod_equalizer(
@@ -334,6 +332,8 @@ def xmod_equalizer(
     """Componentwise equalizer at both levels, with restricted structure."""
     if not _same_object(f.dom, g.dom):
         raise StructuralError("xmod_equalizer: domains differ")
+    if not _same_object(f.cod, g.cod):
+        raise StructuralError("xmod_equalizer: codomains differ")
     e1 = equalizer(f.top, g.top, name=f"eq1_{f.name}_{g.name}")
     e0 = equalizer(f.bottom, g.bottom, name=f"eq0_{f.name}_{g.name}")
     src = f.dom
@@ -414,14 +414,14 @@ def verify_universal_cone(
 ) -> Report:
     """Count mediating morphisms from every tester cone; each must be 1.
 
+    The diagram must meet by ``_same_object``: every leg starts at the
+    candidate, and the parallel pair (a pullback's cospan, an equalizer's
+    pair) starts where the first and the last leg end and ends at one object.
     A cone from a tester is one morphism into each leg's codomain, in leg
-    order, that the parallel pair (a pullback's cospan, an equalizer's
-    pair) sends to one morphism. terminal/initial/product/pullback search
-    the slice over the shared base (identity bottoms) and read the top
-    level; equalizer searches unrestricted morphism pairs and reads both
-    levels. The mediators are the same search from the tester to the
-    candidate (from the candidate for initial), counted once by their
-    composites with the legs; each cone reads its count there.
+    order, that the pair sends to one morphism. The slice kinds search
+    identity bottoms and read the top level; equalizer searches all pairs
+    and reads both levels. The mediators are the same search from the tester
+    to the candidate (from it, for initial), counted once by their composites.
     """
     for t in testers:
         if t.c1.n > max_size or t.c0.n > max_size:
@@ -445,6 +445,12 @@ def verify_universal_cone(
         raise StructuralError(f"unknown cone kind {kind!r}")
     if parallel and kind not in ("pullback", "equalizer"):
         raise StructuralError(f"{kind} cone takes no parallel pair")
+    joins = [(leg.dom, candidate) for leg in legs]
+    if parallel:
+        f, g = parallel
+        joins += [(f.dom, legs[0].cod), (g.dom, legs[-1].cod), (f.cod, g.cod)]
+    if not all(_same_object(a, b) for a, b in joins):
+        raise StructuralError(f"{kind} cone: legs and parallel pair do not meet")
     # the testers are guarded above; the searches from the candidate
     # (initial) keep at least the default search guard
     size = max(max_size, DEFAULT_MAX_SIZE)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import xmodkit
-from xmodkit.actions import check_derived_action, conjugation_action, make_action
+from xmodkit.actions import check_derived_action, conjugation_action, make_action, trivial_action
 from xmodkit.cat1 import make_cat1, verify_cat1
 from xmodkit import io
 from xmodkit.cli import _build_parser, main
@@ -520,6 +520,38 @@ def test_check_universal_pullback_and_equalizer(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS mediator[xm_z2_z4]" in out
+
+
+def test_diagrams_that_meet_by_carriers_only_are_refused(tmp_path, capsys):
+    # flat has xm_z2_z4's carriers but the zero boundary, so into_xm and
+    # into_flat share a domain and differ at their codomains
+    zoo = make_standard_xmods()
+    xm, init = zoo["xm_z2_z4"], zoo["xm_initial_z4"]
+    flat = make_xmod(
+        "flat", Morphism("zero", xm.c1, xm.c0, (0, 0)), trivial_action(xm.c0, xm.c1)
+    )
+    for cod, name in ((xm, "into_xm"), (flat, "into_flat")):
+        top = Morphism(f"top_{name}", init.c1, cod.c1, (0,))
+        leg = XModMorphism(name, init, cod, top, identity_morphism(init.c0))
+        save_xmodmorphism(leg, tmp_path / f"{name}.mci")
+    at = lambda name: str(tmp_path / f"{name}.mci")  # noqa: E731
+    f, g = at("into_xm"), at("into_flat")
+    for kind in ("equalizer", "pullback"):
+        assert run(capsys, "limit", f"slice-{kind}", f, f, "-o", at(kind))[0] == 0
+    testers = ("--testers", str(write_zoo_xmod(tmp_path, "xm_initial_z4")))
+    before = sorted(os.listdir(tmp_path))
+    refusals = [
+        (("limit", "slice-equalizer", f, g, "-o", at("bad")), "xmod_equalizer: codomains differ"),
+        (("check-universal", "equalizer", at("equalizer"), "--legs", at("equalizer_incl"),
+          "--parallel", f, g, *testers), "equalizer cone: legs and parallel pair do not meet"),
+        (("check-universal", "pullback", at("pullback"), "--legs", at("pullback_fst"),
+          at("pullback_snd"), "--parallel", f, g, *testers),
+         "pullback cone: legs and parallel pair do not meet"),
+    ]
+    for args, message in refusals:
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (2, "", f"ERROR {message}\n"), args
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_check_universal_size_guard(tmp_path, capsys):

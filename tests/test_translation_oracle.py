@@ -13,16 +13,19 @@ relabelling of the carriers, which no search shortcut can know about.
 The pairs are every same-profile pair of zoo modules, with split
 carriers up to 27 elements, and each pullback of a zoo module along a
 criterion-8 morphism (split carrier within the default guard) paired
-with the module it was pulled back from.
+with the module it was pulled back from. The two morphism verifiers must
+also agree on every pair of carrier maps, morphism or not.
 """
 
 import random
 from collections import Counter
+from itertools import product
 
-from xmodkit.actions import make_action
+from xmodkit.actions import make_action, trivial_action
 from xmodkit.cat1 import (
     enumerate_cat1_morphisms,
     find_cat1_isomorphism,
+    verify_cat1_morphism,
     xmod_morphism_to_cat1,
     xmod_to_cat1,
 )
@@ -30,10 +33,13 @@ from xmodkit.morphisms import DEFAULT_MAX_SIZE, enumerate_morphisms
 from xmodkit.pullbacks import pullback_xmod
 from xmodkit.structures import Morphism, make_structure
 from xmodkit.xmod import (
+    XModMorphism,
     compose_xmod_morphisms,
     enumerate_xmod_morphisms,
     find_xmod_isomorphism,
     make_xmod,
+    slice_initial,
+    verify_xmod_morphism,
     xmod_identity,
 )
 from xmodkit.zoo import (
@@ -183,3 +189,27 @@ def test_pullbacks_agree_across_translation():
                 _check_pair(pb, x, rng)
                 checked += 1
     assert checked == 32
+
+
+def _maps(dom, cod):
+    """Every carrier map from dom to cod, morphism or not."""
+    return [Morphism("m", dom, cod, m) for m in product(range(cod.n), repeat=dom.n)]
+
+
+def test_morphism_verifiers_agree_on_every_map_pair():
+    xm = make_standard_xmods()["xm_z2_z4"]
+    flat = make_xmod(
+        "flat", Morphism("zero", xm.c1, xm.c0, (0, 0)), trivial_action(xm.c0, xm.c1)
+    )
+    objects = [(x, xmod_to_cat1(x)) for x in (xm, flat, slice_initial(xm.c0))]
+    pairs = morphisms = 0
+    for (x, tx), (y, ty) in product(objects, repeat=2):
+        for top, bottom in product(_maps(x.c1, y.c1), _maps(x.c0, y.c0)):
+            m = XModMorphism("m", x, y, top, bottom)
+            ok = verify_xmod_morphism(m).ok
+            assert ok == verify_cat1_morphism(xmod_morphism_to_cat1(m, tx, ty)).ok, (
+                x.name, y.name, top.map, bottom.map
+            )
+            pairs += 1
+            morphisms += ok
+    assert (pairs, morphisms) == (5888, 38)
