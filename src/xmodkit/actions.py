@@ -25,6 +25,7 @@ from .structures import (
     Table2,
     _check_table2,
     _Restriction,
+    _transpose,
     carrier,
     make_structure,
     operations,
@@ -154,24 +155,36 @@ def action_from_section(proj: Morphism, sect: Morphism, name: str | None = None)
 # the twelve conditions
 
 
-def _product_rows(act: DerivedAction, op: str, rows):
+def _pair_index(act: DerivedAction) -> list[tuple[int, ...]]:
+    """pair[ia][ib] is the product index ia * |B| + ib, one int object per element."""
+    bn = act.actor.n
+    return [tuple(range(x * bn, x * bn + bn)) for x in range(act.acted.n)]
+
+
+def _product_rows(act: DerivedAction, op: str, rows, pair):
     """Rows of the semidirect product's add or star table at the given indices.
 
-    Product index ia * |B| + ib stands for the pair (ia, ib).
+    Product index ia * |B| + ib stands for the pair (ia, ib); every entry
+    is read from ``pair = _pair_index(act)``, so the tables share its ints.
     """
     a, b, dot = act.acted, act.actor, act.dot
     bn = b.n
-    pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
     if op == "add":
-        for i1, j1 in map(pairs.__getitem__, rows):
-            yield tuple([a.add[i1][dot[j1][i2]] * bn + b.add[j1][j2] for i2, j2 in pairs])
+        padd = [list(map(pair.__getitem__, row)) for row in a.add]  # pair[i1 + i2]
+        for k in rows:
+            i1, j1 = divmod(k, bn)
+            bj = b.add[j1]
+            yield tuple([p[y] for p in map(padd[i1].__getitem__, dot[j1]) for y in bj])
         return
-    aster, bster = a.star[op], b.star[op]
-    mixed, mixed_op = act.star_act[op], act.star_act[b.profile.opposite_of(op)]
-    for i1, j1 in map(pairs.__getitem__, rows):
+    aadd, aster, bster = a.add, a.star[op], b.star[op]
+    mixed, opcol = act.star_act[op], _transpose(act.star_act[b.profile.opposite_of(op)])
+    for k in rows:
+        i1, j1 = divmod(k, bn)
+        cols = list(zip(opcol[i1], bster[j1]))
         yield tuple([
-            a.add[a.add[aster[i1][i2]][mixed_op[j2][i1]]][mixed[j1][i2]] * bn + bster[j1][j2]
-            for i2, j2 in pairs
+            pair[aadd[r[c]][w]][y]
+            for r, w in zip(map(aadd.__getitem__, aster[i1]), mixed[j1])
+            for c, y in cols
         ])
 
 
@@ -182,17 +195,18 @@ def _product_ids(act: DerivedAction) -> tuple[str, ...]:
 
 def _product_tables(act: DerivedAction):
     a, b, dot = act.acted, act.actor, act.dot
-    bn = b.n
-    pairs = [(ia, ib) for ia in range(a.n) for ib in range(bn)]
-    everything = range(len(pairs))
-    add = tuple(list(_product_rows(act, "add", everything)))
-    neg = tuple([dot[b.neg[j]][a.neg[i]] * bn + b.neg[j] for i, j in pairs])
+    pair, everything = _pair_index(act), range(a.n * b.n)
+    # tuple(list(rows)), not tuple(rows): a tuple grown as rows arrive is
+    # resized between row allocations, and RSS then rose with every product
+    # built in a long loop; cols above is a list for the same reason
+    add = tuple(list(_product_rows(act, "add", everything, pair)))
+    neg = tuple([pair[dot[j][a.neg[i]]][j] for i in range(a.n) for j in b.neg])
     star = {
-        sym: tuple(list(_product_rows(act, sym, everything)))
+        sym: tuple(list(_product_rows(act, sym, everything, pair)))
         for sym in b.profile.binary_symbols()
     }
     omega = {
-        sym: tuple([a.omega[sym][i] * bn + b.omega[sym][j] for i, j in pairs])
+        sym: tuple([pair[x][y] for x in a.omega[sym] for y in b.omega[sym]])
         for sym in b.profile.unary_symbols()
     }
     return _product_ids(act), add, neg, star, omega
@@ -258,15 +272,15 @@ def check_derived_action(act: DerivedAction) -> Report:
 
     # star values must commute with each other inside the product; rows
     # are made one at a time, and add rows only at the star values
-    ids = _product_ids(act)
+    ids, pair = _product_ids(act), _pair_index(act)
     prov: dict[int, tuple[str, str, str]] = {}
     for sym in syms:
-        for i, row in enumerate(_product_rows(act, sym, range(len(ids)))):
+        for i, row in enumerate(_product_rows(act, sym, range(len(ids)), pair)):
             for j, v in enumerate(row):
                 if v not in prov:
                     prov[v] = (ids[i], sym, ids[j])
     vals = sorted(prov)
-    add = dict(zip(vals, _product_rows(act, "add", vals)))
+    add = dict(zip(vals, _product_rows(act, "add", vals, pair)))
     found = first_violation(commute, {"V": (vals, ids)}, {"add": add})
     if found is None:
         items.append(CheckItem("cond-12", True))

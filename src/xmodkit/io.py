@@ -65,19 +65,23 @@ def _rows(text: str):
 
 
 class _Cursor:
+    """The meaningful rows of a text, split one at a time as they are read;
+    one row of lookahead answers ``done`` and ``after_end``."""
+
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = list(_rows(text))
-        self.k = 0
+        self.rows = _rows(text)
+        self.ahead = next(self.rows, None)
+        self.last = 1  # line of the last row read
 
     def done(self) -> bool:
-        return self.k >= len(self.rows)
+        return self.ahead is None
 
     def next(self) -> tuple[int, list[str]]:
-        if self.done():
-            last = self.rows[-1][0] if self.rows else 1
-            raise ParseError("unexpected end of file", line=last)
-        out = self.rows[self.k]
-        self.k += 1
+        out = self.ahead
+        if out is None:
+            raise ParseError("unexpected end of file", line=self.last)
+        self.last = out[0]
+        self.ahead = next(self.rows, None)
         return out
 
     def take(self, key: str) -> tuple[int, list[str]]:
@@ -89,7 +93,7 @@ class _Cursor:
     def after_end(self) -> None:
         """Reject any row after the 'end' row just read."""
         if not self.done():
-            raise ParseError("content after end", line=self.rows[self.k][0])
+            raise ParseError("content after end", line=self.ahead[0])
 
     def finish(self) -> None:
         _alone(*self.take("end"))
@@ -396,7 +400,7 @@ def _head(kind: str, obj) -> list[str]:
 
 def _text(out: list[str]) -> str:
     """The file text of out's lines, closed by the 'end' row."""
-    return "\n".join(out + ["end"]) + "\n"
+    return "\n".join([*out, "end", ""])
 
 
 def serialize_structure(s: Structure) -> str:

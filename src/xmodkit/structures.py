@@ -100,8 +100,7 @@ class Subobject(Record):
 
 
 def _transpose(t: Table2) -> Table2:
-    n = len(t)
-    return tuple([tuple([t[j][i] for j in range(n)]) for i in range(n)])
+    return tuple(zip(*t))
 
 
 def _check_table2(name: str, op: str, t: Sequence[Sequence[int]], rows: int, width: int) -> Table2:

@@ -408,3 +408,45 @@ def test_element_ids_cannot_start_a_comment():
             "z", make_cyclic(2).profile, ("0", "#1"), ((0, 1), (1, 0)), (0, 1), {}, {}
         )
     assert e.value.message == "z: bad element id '#1'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of file (line 1)"),
+        ("# nothing\n\n  # here\n", "unexpected end of file (line 1)"),
+        # truncated tables: the line of the last row read, not of the comments after it
+        (Z2_TEXT[: Z2_TEXT.index("1 0\n")] + "\n# cut\n\n", "unexpected end of file (line 5)"),
+        (F2X_TEXT[: F2X_TEXT.index("0 x 0 x")] + "\n\n", "unexpected end of file (line 12)"),
+        (Z2_TEXT[: Z2_TEXT.index("end")] + "# no end\n", "unexpected end of file (line 7)"),
+        (Z2_TEXT + "\n# c\nneg 0 1\n", "content after end (line 11)"),
+        (F2X_TEXT + "\n\nend\n# x\n", "content after end (line 20)"),
+    ],
+)
+def test_cursor_error_lines(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_structure(text)
+    assert str(e.value) == message
+
+
+def test_cursor_skips_trailing_blank_and_comment_lines():
+    back = parse_structure(Z2_TEXT + "\n\n# trailing comment\n   \n#\n")
+    assert serialize_structure(back) == Z2_TEXT
+
+
+def test_parse_holds_one_row_at_a_time():
+    """Parsing a 256-element table file peaks at a small multiple of its text."""
+    import tracemalloc
+
+    from xmodkit.cat1 import xmod_to_cat1
+    from xmodkit.xmod import slice_terminal
+
+    text = serialize_structure(xmod_to_cat1(slice_terminal(make_truncated_poly(2, 4))).big)
+    assert len(text) > 1_500_000
+    tracemalloc.start()
+    try:
+        parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)
