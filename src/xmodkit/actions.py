@@ -122,7 +122,8 @@ def conjugation_action(
 ) -> DerivedAction:
     """parent acting on itself (or on an ideal) by b+a-b and the own stars."""
     if sub is None:
-        dot = tuple([tuple([parent.conj(b, a) for a in range(parent.n)]) for b in range(parent.n)])
+        add, neg = parent.add, parent.neg
+        dot = tuple([tuple([add[v][neg[b]] for v in add[b]]) for b in range(parent.n)])
         return make_action(
             name or f"conj_{parent.name}", parent, parent, dot, dict(parent.star)
         )

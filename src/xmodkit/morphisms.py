@@ -10,13 +10,13 @@ it along recorded sum derivations and keeps the tables that pass the law
 table ``morphism_report`` runs, bound once per search. Each list holds
 the elements whose order divides the generator's, and ``_pinned_pairs``
 fixes each lower level map and cuts the lists by the square laws at each
-generator. ``_bijective`` is the isomorphism test of every ``find_*``
-function, and ``find_isomorphism`` takes the least bijective table
-``enumerate_morphisms`` lists. Crossed modules and cat1-objects are
-two-level kinds: an object's ``levels`` and a morphism's ``maps`` are
-(upper, lower), and one Hom search ``_level_homs`` and one isomorphism
-finder ``_level_iso`` serve both, each running the kind's own pinned
-search ``search(dom, cod, lowers, name)`` of upper maps under lower maps.
+generator. ``_bijective`` is the isomorphism test of both two-level
+finders; ``find_isomorphism`` takes the first bijective table
+``_image_tables`` yields, which is the least. Crossed modules and
+cat1-objects are two-level kinds: an object's ``levels`` and a morphism's
+``maps`` are (upper, lower), and one Hom search ``_level_homs`` and one
+isomorphism finder ``_level_iso`` serve both, each running the kind's own
+pinned search ``search(dom, cod, lowers, name)`` of upper maps under lower maps.
 The tests keep a brute-force scan and the unpinned route (full Hom sets,
 then the square laws) as oracles."""
 
@@ -152,8 +152,11 @@ def _image_tables(a: Structure, b: Structure, order, allowed):
 
     A candidate gives generator k an image from allowed[k]; it is
     extended along the derivations order of _generating_data and yielded
-    if it passes the laws of ``morphism_report``, bound once.
-    """
+    if it passes the laws of ``morphism_report``, bound once. Without seeds
+    and with each allowed[k] ascending, tables come in increasing order:
+    generator k is the least index outside the span of the earlier ones and
+    its image is its candidate, so every earlier position is fixed by
+    earlier candidates."""
     preserves = law_filter(*_hom_env(a, b), "f")
     n, b_add, b_zero = a.n, b.add, b.zero
     for images in itertools.product(*allowed):
@@ -174,16 +177,16 @@ def _by_order(a: Structure, b: Structure, gens) -> list[list[int]]:
 
 
 def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds, first=()) -> list:
-    """(lower, table) pairs, lower-major, tables sorted: under each lower
-    morphism, the tables a -> b whose generators g (from first on) take
-    images pin(lower map, g, ys) of the order-allowed ys, and that pass
-    holds(lower map, table)."""
+    """(lower, table) pairs, lower-major, in ``_image_tables`` order (so
+    tables ascending without first): under each lower morphism, the tables
+    a -> b whose generators g (from first on) take images pin(lower map,
+    g, ys) of the order-allowed ys, and that pass holds(lower map, table)."""
     gens, order = _generating_data(a, first)
     ranked = _by_order(a, b, gens)
     return [
         (low, m)
         for low in lowers
-        for m in sorted(_image_tables(a, b, order, [pin(low.map, *p) for p in zip(gens, ranked)]))
+        for m in _image_tables(a, b, order, [pin(low.map, *p) for p in zip(gens, ranked)])
         if holds(low.map, m)
     ]
 
@@ -199,17 +202,18 @@ def _bijective(*maps: Morphism) -> bool:
 
 
 def enumerate_morphisms(a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE) -> list[Morphism]:
-    """All morphisms a -> b, sorted by image tuple."""
+    """All morphisms a -> b, sorted by image tuple (``_image_tables`` order)."""
     _search_guard(a, b, max_size)
     gens, order = _generating_data(a)
-    found = sorted(_image_tables(a, b, order, _by_order(a, b, gens)))
+    found = _image_tables(a, b, order, _by_order(a, b, gens))
     return [Morphism(f"hom{k}_{a.name}_{b.name}", a, b, m) for k, m in enumerate(found)]
 
 
 def find_isomorphism(
     a: Structure, b: Structure, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Morphism]:
-    """The least bijective morphism of ``enumerate_morphisms``, or None."""
+    """The least bijective morphism a -> b, or None: the first one
+    ``_image_tables`` yields."""
     if a.profile.name != b.profile.name or a.n != b.n:
         return None
     if max(a.n, b.n) > max_size:
@@ -220,9 +224,10 @@ def find_isomorphism(
         element_order(b, i) for i in range(b.n)
     ):
         return None
-    for f in enumerate_morphisms(a, b, max_size):
-        if _bijective(f):
-            return Morphism(f"iso_{a.name}_{b.name}", a, b, f.map)
+    gens, order = _generating_data(a)
+    for m in _image_tables(a, b, order, _by_order(a, b, gens)):
+        if len(set(m)) == b.n:
+            return Morphism(f"iso_{a.name}_{b.name}", a, b, m)
     return None
 
 

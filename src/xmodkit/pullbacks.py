@@ -1,9 +1,10 @@
 """Base change: pulling crossed modules and split objects back along a map.
 
-Given a morphism into the base, a crossed module is pulled back by
-pairing kernel-level elements with new-base elements that agree under
-the boundary; the new base acts through the morphism on the first
-coordinate and by conjugation or stars on the second. Split objects pull
+A crossed module X is pulled back along phi: T -> X0 as the fibre
+``xmod._fibre`` of X and the terminal module of T over the boundary and
+phi: the pairs that agree under them, over T, with T acting through phi
+on the first coordinate and by conjugation or stars on the second, and
+the first leg as projection. Split objects pull
 back on triples (outer, middle, outer) whose outer coordinates map to
 the source and target of the middle one. Both constructions come with a
 projection; one square check ``_square`` (codomain by ``_same_object``,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .actions import restrict_action
 from .cat1 import (
     Cat1Morphism,
     Cat1Object,
@@ -29,7 +29,6 @@ from .cat1 import (
     xmod_to_cat1,
 )
 from .errors import StructuralError
-from .limits import fiber_product
 from .morphisms import DEFAULT_MAX_SIZE, _search_guard, is_morphism
 from .records import replace
 from .report import CheckItem, Report, merge_pre
@@ -37,12 +36,13 @@ from .structures import Morphism, _Restriction, restricted_product, same_structu
 from .xmod import (
     CrossedModule,
     XModMorphism,
+    _fibre,
     _same_object,
     _slice_leg,
     _top_search,
     compose_xmod_morphisms,
     inclusion_xmod,
-    make_xmod,
+    slice_terminal,
 )
 
 
@@ -55,21 +55,8 @@ def pullback_xmod(
             f"pullback of {x.name}: {phi.name} does not land in its base"
         )
     name = name or f"pb_{x.name}_{phi.name}"
-    fib, fst, snd = fiber_product(x.boundary, phi, name=f"c1_{name}")
-    t = phi.dom
-    act = restrict_action(
-        f"act_{name}", t, fib, list(zip(fst.map, snd.map)), [(x.action, phi.map), (t, range(t.n))]
-    )
-    bnd = Morphism(f"bnd_{name}", fib, t, snd.map)
-    out = make_xmod(name, bnd, act)
-    proj = XModMorphism(
-        f"proj_{name}",
-        out,
-        x,
-        Morphism(f"top_{name}", fib, x.c1, fst.map),
-        Morphism(phi.name, t, x.c0, phi.map),
-    )
-    return out, proj
+    out, fst, _ = _fibre(x, slice_terminal(phi.dom), x.boundary, phi, name, phi)
+    return out, replace(fst, name=f"proj_{name}")
 
 
 def _square(pb, proj, f) -> Morphism:

@@ -5,9 +5,10 @@ the codomain on the domain, subject to two table families: the boundary
 reports every action as conjugation (and the matching star rule), and
 elements of the domain act on each other the way their boundary images
 do. Slice constructions keep one base fixed and only move the top level;
-fibre products (so slice products) and slice pullbacks are one fibre with
-the diagonal action. ``_level_report`` verifies the morphisms of both
-two-level kinds, and ``_same_object`` is their one sameness rule, asked at
+fibre products (so slice products), slice pullbacks and base change
+(``pullbacks.pullback_xmod``) are one fibre ``_fibre`` with the diagonal
+action. ``_level_report`` verifies the morphisms of both two-level kinds,
+and ``_same_object`` is their one sameness rule, asked at
 every join of a diagram: one kind, ``same_structure`` carriers at both
 ``levels`` and equal ``tables``; slice legs are checked by ``_slice_leg``.
 The square laws and the boundary-pinned top search ``_top_search`` stay here.
@@ -204,20 +205,24 @@ def slice_initial(x: Structure, name: str | None = None) -> CrossedModule:
 
 
 def _fibre(
-    xm1: CrossedModule, xm2: CrossedModule, alpha: Morphism, beta: Morphism, name: str
+    xm1: CrossedModule, xm2: CrossedModule, alpha: Morphism, beta: Morphism, name: str,
+    down: Morphism | None = None,
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """The pairs that alpha and beta send to one element, over xm1's base
-    through xm1's boundary, with the diagonal action, and the two legs."""
+    """The pairs that alpha and beta send to one element, over xm2's base
+    through xm2's boundary, with the diagonal action, and the two legs. The
+    first leg's bottom is down, from xm2's base into xm1's, through which
+    the base acts on the first coordinate; without it the bases are one."""
     # carrier gets its own name so module and structure files never collide
     fib, fst, snd = fiber_product(alpha, beta, name=f"c1_{name}")
-    base = xm1.c0
-    bnd = Morphism(f"bnd_{name}", fib, base, tuple([xm1.boundary.map[p] for p in fst.map]))
+    down = down or identity_morphism(xm1.c0)
+    base = down.dom
+    bnd = Morphism(f"bnd_{name}", fib, base, tuple([xm2.boundary.map[p] for p in snd.map]))
     act = restrict_action(
         f"diag_{fib.name}", base, fib, list(zip(fst.map, snd.map)),
-        [(xm1.action, range(base.n)), (xm2.action, range(base.n))],
+        [(xm1.action, down.map), (xm2.action, range(base.n))],
     )
     out = make_xmod(name, bnd, act)
-    p1 = XModMorphism(f"fst_{name}", out, xm1, fst, identity_morphism(base))
+    p1 = XModMorphism(f"fst_{name}", out, xm1, fst, down)
     p2 = XModMorphism(f"snd_{name}", out, xm2, snd, identity_morphism(base))
     return out, p1, p2
 

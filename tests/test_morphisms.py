@@ -15,7 +15,7 @@ from xmodkit.morphisms import (
     kernel,
     morphism_report,
 )
-from xmodkit.structures import subobject
+from xmodkit.structures import make_structure, subobject
 
 
 def test_doubling_map_is_morphism(z2, z4):
@@ -195,3 +195,79 @@ def test_find_isomorphism_refusals(z2, z4):
     with pytest.raises(SizeGuardError) as err:
         find_isomorphism(oracle_cyclic(5), oracle_cyclic(5, "w5"), max_size=4)
     assert str(err.value) == "find_isomorphism: carrier 5 exceeds guard 4"
+
+
+def _backtrack_homs(a, b):
+    """Oracle: every morphism a -> b, by backtracking over a's elements in
+    index order. An element that is the sum of two smaller ones takes that
+    sum's image, any other tries every element of b; each partial map is
+    checked on the table entries whose arguments and value it has reached."""
+    due = [[] for _ in range(a.n)]
+    tables = [(a.add, b.add)] + [(a.star[s], b.star[s]) for s in a.profile.binary_symbols()]
+    for ta, tb in tables:
+        for x in range(a.n):
+            for y in range(a.n):
+                due[max(x, y, ta[x][y])].append((ta[x][y], tb, x, y))
+    for sym in a.profile.unary_symbols():
+        ua, ub = a.omega[sym], b.omega[sym]
+        for x in range(a.n):
+            due[max(x, ua[x])].append((ua[x], ub, x, None))
+    sums = {}
+    for x in range(a.n):
+        for y in range(a.n):
+            if max(x, y) < a.add[x][y]:
+                sums.setdefault(a.add[x][y], (x, y))
+    found, f = [], [0] * a.n
+
+    def holds(z, tb, x, y):
+        return f[z] == (tb[f[x]] if y is None else tb[f[x]][f[y]])
+
+    def walk(i):
+        if i == a.n:
+            found.append(tuple(f))
+            return
+        x, y = sums.get(i, (None, None))
+        for v in range(b.n) if x is None else [b.add[f[x]][f[y]]]:
+            f[i] = v
+            if (i != a.zero or v == b.zero) and all(holds(*d) for d in due[i]):
+                walk(i + 1)
+
+    walk(0)
+    return sorted(found)
+
+
+def _reversed(s):
+    """s with its elements listed backwards, so its zero comes last."""
+
+    def r1(t):
+        return tuple([s.n - 1 - v for v in reversed(t)])
+
+    def r2(t):
+        return tuple([r1(row) for row in reversed(t)])
+
+    return make_structure(
+        f"{s.name}_rev", s.profile, s.elements[::-1], r2(s.add), r1(s.neg),
+        {sym: r2(t) for sym, t in s.star.items()}, {sym: r1(t) for sym, t in s.omega.items()},
+    )
+
+
+def test_search_order_and_least_isomorphism_match_the_oracle():
+    """enumerate_morphisms lists the sorted oracle Hom set without sorting,
+    and find_isomorphism is its least bijection, over every same-profile
+    pair of the zoo structures up to 16 elements (zero last in two of them)."""
+    from fail_corpus import zoo_structures
+    from xmodkit.zoo import make_cyclic, make_symmetric3, make_truncated_poly
+
+    f2x3, f2x4 = make_truncated_poly(2, 3), make_truncated_poly(2, 4)
+    zoo = zoo_structures() + [make_cyclic(n) for n in (3, 8, 12, 16)] + [f2x3, f2x4]
+    zoo += [_reversed(make_symmetric3()), _reversed(f2x3)]
+    pairs = [(a, b) for a in zoo for b in zoo if a.profile.name == b.profile.name]
+    isos = 0
+    for a, b in pairs:
+        found = [f.map for f in enumerate_morphisms(a, b, max_size=16)]
+        assert found == _backtrack_homs(a, b), (a.name, b.name)
+        least = next((m for m in found if len(m) == len(set(m)) == b.n), None)
+        iso = find_isomorphism(a, b, max_size=16)
+        assert (None if iso is None else iso.map) == least, (a.name, b.name)
+        isos += least is not None
+    assert (len(pairs), isos) == (85, 21)

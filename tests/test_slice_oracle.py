@@ -6,11 +6,17 @@ domain onto the shared codomain's top level (``induced_xmod``), take the
 fibre product of the two rebased modules, give it the diagonal action of
 the base and stack it on the codomain (``compose_xmod``). Both must
 serialize the module, its carrier and both legs byte for byte alike over
-every slice cospan and slice product of the zoo objects. The tests also
-show that the replaced routes no longer run: the slice limits call
-neither helper, the pullback mediator scans build their identity lower
-level without a Hom search, and ``find_isomorphism`` reads
-``enumerate_morphisms`` instead of walking candidates itself.
+every slice cospan and slice product of the zoo objects. Base change
+(``pullback_xmod``) is the same fibre, of a module and the terminal module
+of the new base T; the route it replaced assembled the fibre product, T's
+action and the projection by hand, and is the oracle for the module, its
+carrier and the projection over every zoo module and every morphism into
+its base from a zoo structure. The tests also show that the replaced
+routes no longer run: the slice limits call neither helper, the pullback
+mediator scans build their identity lower level without a Hom search,
+and ``find_isomorphism`` walks one ``_image_tables`` stream to its first
+bijection instead of listing the whole Hom set with
+``enumerate_morphisms``.
 """
 
 import pytest
@@ -19,18 +25,20 @@ import xmodkit.cat1
 import xmodkit.morphisms
 import xmodkit.pullbacks
 import xmodkit.xmod
+from fail_corpus import zoo_structures
 from xmodkit.actions import make_action, restrict_action, trivial_action
 from xmodkit.cat1 import xmod_to_cat1
 from xmodkit.errors import StructuralError
 from xmodkit.io import serialize_structure, serialize_xmod, serialize_xmodmorphism
-from xmodkit.limits import same_structure
-from xmodkit.morphisms import find_isomorphism, identity_morphism
+from xmodkit.limits import fiber_product, same_structure
+from xmodkit.morphisms import enumerate_morphisms, find_isomorphism, identity_morphism
 from xmodkit.pullbacks import (
     cat1_pullback_mediators,
     pullback_cat1,
     pullback_xmod,
     xmod_pullback_mediators,
 )
+from xmodkit.records import replace
 from xmodkit.structures import Morphism
 from xmodkit.xmod import (
     XModMorphism,
@@ -66,6 +74,21 @@ def _old_slice_pullback(f, g, name=None):
     p1 = XModMorphism(f"fst_{name}", out, f.dom, q1.top, identity_morphism(base))
     p2 = XModMorphism(f"snd_{name}", out, g.dom, q2.top, identity_morphism(base))
     return out, p1, p2
+
+
+def _old_pullback_xmod(x, phi):
+    """The replaced base change: the fibre of x's boundary and phi by hand,
+    T = phi.dom acting through phi on the first coordinate and by
+    conjugation on the second, the second coordinate as boundary."""
+    name = f"pb_{x.name}_{phi.name}"
+    fib, fst, snd = fiber_product(x.boundary, phi, name=f"c1_{name}")
+    t = phi.dom
+    act = restrict_action(
+        f"act_{name}", t, fib, list(zip(fst.map, snd.map)), [(x.action, phi.map), (t, range(t.n))]
+    )
+    out = make_xmod(name, Morphism(f"bnd_{name}", fib, t, snd.map), act)
+    top = Morphism(f"top_{name}", fib, x.c1, fst.map)
+    return out, XModMorphism(f"proj_{name}", out, x, top, Morphism(phi.name, t, x.c0, phi.map))
 
 
 def _old_slice_product(xm1, xm2):
@@ -105,6 +128,31 @@ def test_slice_limits_match_the_replaced_route():
             assert _texts(slice_product(c, b)) == _texts(_old_slice_product(c, b))
             products += 1
     assert (cospans, products) == (151, 79)
+
+
+def test_base_change_matches_the_replaced_route():
+    """Every zoo module pulled back along every morphism into its base from
+    a zoo structure, and along one into a renamed copy of each base."""
+    zoo = list(make_standard_xmods().values())
+    structures = {s.name: s for x in zoo for s in x.levels}
+    structures.update((s.name, s) for s in zoo_structures())
+    pulls = 0
+    for x in zoo:
+        copy = replace(x.c0, name=f"{x.c0.name}_copy")
+        phis = [Morphism("to_copy", x.c0, copy, tuple(range(x.c0.n)))]
+        for t in structures.values():
+            if t.profile.name == x.c0.profile.name:
+                phis += enumerate_morphisms(t, x.c0)
+        for phi in phis:
+            pb, proj = pullback_xmod(x, phi)
+            old, old_proj = _old_pullback_xmod(x, phi)
+            assert (serialize_structure(pb.c1), serialize_xmod(pb)) == (
+                serialize_structure(old.c1), serialize_xmod(old)
+            ), (x.name, phi.name)
+            assert serialize_xmodmorphism(proj) == serialize_xmodmorphism(old_proj)
+            assert (proj.name, proj.bottom.map) == (old_proj.name, phi.map)
+            pulls += 1
+    assert pulls == 110
 
 
 def _refuse(name):
@@ -147,7 +195,7 @@ def test_mediator_scans_run_under_the_identity_without_a_hom_search(monkeypatch)
     assert cmed.big_map.map == tuple(range(16)) and cmed.base_map.map == tuple(range(16))
 
 
-def test_find_isomorphism_reads_enumerate_morphisms(monkeypatch):
+def test_find_isomorphism_walks_image_tables(monkeypatch):
     calls = {"enumerate_morphisms": 0, "_image_tables": 0}
     for name in calls:
         real = getattr(xmodkit.morphisms, name)
@@ -160,7 +208,7 @@ def test_find_isomorphism_reads_enumerate_morphisms(monkeypatch):
     z4 = make_cyclic(4)
     iso = find_isomorphism(z4, z4)
     assert iso.name == "iso_z4_z4" and iso.map == (0, 1, 2, 3)
-    assert calls == {"enumerate_morphisms": 1, "_image_tables": 1}
+    assert calls == {"enumerate_morphisms": 0, "_image_tables": 1}
 
 
 def _z4_modules():

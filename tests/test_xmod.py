@@ -82,7 +82,7 @@ def test_inclusion_requires_ideal():
     bad = make_xmod("bad", identity_morphism(s3), trivial_action(s3, s3))
     with pytest.raises(ClosureError, match="^diag_c1_fib_bad_term_s3: not closed under dot"):
         xmod_fiber_product(bad, slice_terminal(s3))
-    with pytest.raises(ClosureError, match="^act_pb_bad_id_s3: not closed under dot"):
+    with pytest.raises(ClosureError, match="^diag_c1_pb_bad_id_s3: not closed under dot"):
         pullback_xmod(bad, identity_morphism(s3))
     # bottoms that disagree on a boundary value
     xm = xm_z2_z4()
