@@ -212,7 +212,7 @@ class Law(Record):
     equations: tuple[Equation, ...]
 
 
-Sorts = Mapping[str, tuple[Sequence[int], Sequence[str]]]
+Sorts = Mapping[str, tuple[Sequence[int], Sequence[str] | Mapping[int, str]]]
 
 
 _ROW_DEFAULTS = ("lhs={lhs} rhs={rhs}", "")  # detail, when

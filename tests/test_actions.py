@@ -18,10 +18,13 @@ from xmodkit.actions import (
     semidirect_product,
     trivial_action,
 )
+from xmodkit.cat1 import verify_cat1, xmod_to_cat1
 from xmodkit.errors import ClosureError, StructuralError
 from xmodkit.morphisms import compose, find_isomorphism, is_morphism, kernel
 from xmodkit.profiles import get_profile
 from xmodkit.structures import Morphism, make_structure, subobject, verify_structure
+from xmodkit.xmod import make_xmod, verify_xmod
+from xmodkit.zoo import make_truncated_poly
 
 from conftest import oracle_cyclic, oracle_poly, oracle_s3
 
@@ -281,3 +284,35 @@ def test_action_from_section_rejects_non_section():
     squash = Morphism("squash", proj.cod, p, (p.index("(0,0)"), p.index("(0,0)")))
     with pytest.raises(StructuralError):
         action_from_section(proj, squash)
+
+
+# The twelve conditions do not yet check the profile's identities on the
+# product: both cases pass every condition, yet their product breaks
+# mul-assoc. The checker should agree with the product's own report.
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_action_verdict_matches_product_over_f2x():
+    """F2 on F2[x]/(x^2): trivial dot, 0 acts by 0 and 1 by the row (0, 0, 1, 1)."""
+    f2, f2x = make_truncated_poly(2, 1), make_truncated_poly(2)
+    dot = (tuple(range(4)),) * 2
+    act = make_action("lin", f2, f2x, dot, {"mul": ((0, 0, 0, 0), (0, 0, 1, 1))})
+    assert check_derived_action(act).ok == verify_structure(semidirect_product(act)[0]).ok
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_xmod_verdict_matches_cat1_over_f2x():
+    """F2^2 with zero mul under F2[x]/(x^2): zero boundary, trivial dot, 0 and 1
+    act by 0, x and 1+x as the identity."""
+    f2x = make_truncated_poly(2)
+    xor = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+    zero = ((0,) * 4,) * 4
+    plane = make_structure(
+        "plane", f2x.profile, ("0", "a", "b", "c"), xor, tuple(range(4)),
+        {"mul": zero}, {"s0": (0,) * 4, "s1": tuple(range(4))},
+    )
+    assert verify_structure(plane).ok
+    star = ((0,) * 4, (0,) * 4, tuple(range(4)), tuple(range(4)))
+    act = make_action("half", f2x, plane, (tuple(range(4)),) * 4, {"mul": star})
+    xm = make_xmod("half", Morphism("zero", plane, f2x, (0,) * 4), act)
+    assert verify_xmod(xm).ok == verify_cat1(xmod_to_cat1(xm)).ok

@@ -1,6 +1,6 @@
 """Semidirect-product tables against the per-entry formula.
 
-``actions._product_rows`` and ``_product_tables`` read every product
+``actions._product_rows`` and ``semidirect_product`` read every product
 index from shared index tuples. The oracle is the formula they
 replaced, one entry at a time: the pair (ia, ib) is index
 ia * |B| + ib, (i1, j1) + (i2, j2) = (i1 + j1.i2, j1 + j2) and
