@@ -9,15 +9,17 @@ Two families of subcommands share fixed conventions:
   built object to stdout and exit 0; with -o the object and any companion
   morphisms are also written as .mci files next to the output path.
 
-Two tables drive them. The kind table (``_kind``) maps each object type
-to its verifier, serializer and saver. The construction table
-(``_constructions``) maps each construction command, and each ``limit``
-kind, to the file kinds of its inputs and its build. One runner,
-``_construct``, does load -> gate -> build -> emit for every row;
-``verify`` and the ``check-*`` commands take their verifier from the kind
-table. ``check-universal`` and ``square-check`` have their own bodies.
-Every command loads its files through one ``io.load`` memo, so each file
-is read once and every reference to it is one object.
+Two tables of strings drive them. The kind table (``_KINDS``) maps each
+object type to its verifier and its io kind, read by ``_verify`` and
+``_io`` (``io.serialize_<kind>``, ``io.save_<kind>``). The construction
+table (``_CONSTRUCTIONS``) maps each construction command, and each
+``limit`` kind, to the file kinds of its inputs, its build and the
+suffixes of the legs it saves. One runner, ``_construct``, does
+load -> gate -> build -> emit for every row; ``verify`` and the
+``check-*`` commands take their verifier from the kind table.
+``check-universal`` and ``square-check`` have their own bodies. Every
+command loads its files through one ``io.load`` memo, so each file is
+read once and every reference to it is one object.
 
 Importing this module loads only ``io`` and the structure layer below
 it; the size guards that are the parser's defaults live in ``errors``.
@@ -37,17 +39,12 @@ import argparse
 import importlib
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from . import io
 from .errors import DEFAULT_MAX_SIZE, UNIVERSAL_MAX_SIZE, XmodkitError
 from .report import Report
-
-
-class _Kind(NamedTuple):
-    verify: Callable[[Any], Report]
-    serialize: Callable[[Any], str]
-    save: Callable[[Any, Any], None]
+from .structures import Subobject
 
 
 def _fn(path: str) -> Callable:
@@ -73,59 +70,35 @@ _KINDS = {
 }
 
 
-def _kind(obj) -> _Kind:
-    """The kind table row of obj's type: (verifier, serializer, saver)."""
-    verify, kind = _KINDS[type(obj).__name__]
-    return _Kind(_fn(verify), getattr(io, f"serialize_{kind}"), getattr(io, f"save_{kind}"))
+def _verify(obj) -> Report:
+    """obj's report from its kind's verifier."""
+    return _fn(_KINDS[type(obj).__name__][0])(obj)
 
 
-def _with_legs(make: str, *suffixes: str) -> Callable:
-    """A build from the constructor make ("layer.function") returning (object, leg, ...).
-
-    The legs named by suffixes, in order, are saved under -o; any further
-    results are dropped.
-    """
-
-    def build(*inputs):
-        obj, *legs = _fn(make)(*inputs)
-        return obj, tuple(list(zip(suffixes, legs)))
-
-    return build
+def _io(verb: str, obj) -> Callable:
+    """io.serialize_<kind> or io.save_<kind> (verb) for obj's kind."""
+    return getattr(io, f"{verb}_{_KINDS[type(obj).__name__][1]}")
 
 
-def _constructions() -> dict:
-    """The construction table: command line words -> (input kinds, build).
-
-    The inputs load as the named file kinds, in argument order; the build
-    returns the object and its (suffix, leg) pairs.
-    """
-    return {
-        "semidirect": (("action",), _with_legs("actions.semidirect_product")),
-        "to-cat1": (("xmod",), lambda xm: (_fn("cat1.xmod_to_cat1")(xm), ())),
-        "to-xmod": (("cat1",), lambda c: (_fn("cat1.cat1_to_xmod")(c), ())),
-        "limit product": (("structure", "structure"), _with_legs("limits.direct_product")),
-        "limit pullback": (("morphism", "morphism"), _with_legs("limits.fiber_product")),
-        "limit equalizer": (
-            ("morphism", "morphism"),
-            lambda f, g: (_fn("limits.equalizer")(f, g).induced, ()),
-        ),
-        "limit slice-terminal": (("structure",), lambda x: (_fn("xmod.slice_terminal")(x), ())),
-        "limit slice-initial": (("structure",), lambda x: (_fn("xmod.slice_initial")(x), ())),
-        "limit slice-product": (
-            ("xmod", "xmod"),
-            _with_legs("xmod.slice_product", "fst", "snd"),
-        ),
-        "limit slice-pullback": (
-            ("xmodmorphism", "xmodmorphism"),
-            _with_legs("xmod.slice_pullback", "fst", "snd"),
-        ),
-        "limit slice-equalizer": (
-            ("xmodmorphism", "xmodmorphism"),
-            _with_legs("xmod.xmod_equalizer", "incl"),
-        ),
-        "pullback-xmod": (("xmod", "morphism"), _with_legs("pullbacks.pullback_xmod", "proj")),
-        "pullback-cat1": (("cat1", "morphism"), _with_legs("pullbacks.pullback_cat1")),
-    }
+# command line words -> (input file kinds in argument order, the build,
+# suffixes of the legs saved under -o)
+_CONSTRUCTIONS = {
+    "semidirect": (("action",), "actions.semidirect_product", ()),
+    "to-cat1": (("xmod",), "cat1.xmod_to_cat1", ()),
+    "to-xmod": (("cat1",), "cat1.cat1_to_xmod", ()),
+    "limit product": (("structure", "structure"), "limits.direct_product", ()),
+    "limit pullback": (("morphism", "morphism"), "limits.fiber_product", ()),
+    "limit equalizer": (("morphism", "morphism"), "limits.equalizer", ()),
+    "limit slice-terminal": (("structure",), "xmod.slice_terminal", ()),
+    "limit slice-initial": (("structure",), "xmod.slice_initial", ()),
+    "limit slice-product": (("xmod", "xmod"), "xmod.slice_product", ("fst", "snd")),
+    "limit slice-pullback": (
+        ("xmodmorphism", "xmodmorphism"), "xmod.slice_pullback", ("fst", "snd")
+    ),
+    "limit slice-equalizer": (("xmodmorphism", "xmodmorphism"), "xmod.xmod_equalizer", ("incl",)),
+    "pullback-xmod": (("xmod", "morphism"), "pullbacks.pullback_xmod", ("proj",)),
+    "pullback-cat1": (("cat1", "morphism"), "pullbacks.pullback_cat1", ()),
+}
 
 
 def _finish(report: Report) -> int:
@@ -134,37 +107,40 @@ def _finish(report: Report) -> int:
 
 
 def _check(args) -> int:
-    obj = io.load(args.file, args.file_kind)[1]
-    return _finish(_kind(obj).verify(obj))
+    return _finish(_verify(io.load(args.file, args.file_kind)[1]))
 
 
 def _construct(args) -> int:
     """Load every input, gate each with its verifier, build, and emit.
 
     All inputs load before any gate runs; the first failing report in
-    argument order is printed and the command exits 1.
+    argument order is printed and the command exits 1. A build returns
+    the object, or a tuple of the object and its legs; legs past the
+    row's suffixes are not saved, and a subobject emits its carrier.
     """
     if args.command == "limit":
         key, paths = f"limit {args.kind}", args.files
     else:
         key, paths = args.command, [getattr(args, dest) for dest in args.inputs]
-    kinds, build = _constructions()[key]
+    kinds, build, suffixes = _CONSTRUCTIONS[key]
     if len(paths) != len(kinds):  # only limit takes a variable file count
         raise XmodkitError(f"{key} takes {len(kinds)} file(s), got {len(paths)}")
     loaded: dict = {}
     inputs = [io.load(path, kind, loaded)[1] for kind, path in zip(kinds, paths)]
     for x in inputs:
-        report = _kind(x).verify(x)
+        report = _verify(x)
         if not report.ok:
             return _finish(report)
-    obj, legs = build(*inputs)
-    kind = _kind(obj)
-    sys.stdout.write(kind.serialize(obj))
+    obj = _fn(build)(*inputs)
+    obj, *legs = obj if isinstance(obj, tuple) else (obj,)
+    if isinstance(obj, Subobject):
+        obj = obj.induced
+    sys.stdout.write(_io("serialize", obj)(obj))
     if args.out:
-        kind.save(obj, args.out)
+        _io("save", obj)(obj, args.out)
         out = Path(args.out)
-        for suffix, leg in legs:
-            _kind(leg).save(leg, out.with_name(f"{out.stem}_{suffix}{out.suffix}"))
+        for suffix, leg in zip(suffixes, legs):
+            _io("save", leg)(leg, out.with_name(f"{out.stem}_{suffix}{out.suffix}"))
     return 0
 
 
@@ -238,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     construct("to-xmod", "translate a split object to a crossed module", "file")
 
     p = add("limit", _construct, "build a limit of structures or crossed modules")
-    kinds = [key.split()[1] for key in _constructions() if key.startswith("limit ")]
+    kinds = [key.split()[1] for key in _CONSTRUCTIONS if key.startswith("limit ")]
     p.add_argument("kind", choices=sorted(kinds))
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--out")

@@ -805,6 +805,46 @@ def test_golden_commands_cover_every_subcommand_and_kind():
         assert {words[1] for words in lines if words[0] == command} == set(kind.choices)
 
 
+# what each golden construction line writes under out/, by its command
+# words; every name carries .mci
+OUT_FILES = {
+    "semidirect": "sdp_z3_z2",
+    "to-cat1": "up big_cat1_xm_z2_z4 z4",
+    "to-xmod": "down ker_src_cat1_xm_z2_z4 z4",
+    "limit product": "prod_z2_z3",
+    "limit pullback": "fib_double_id",
+    "limit equalizer": "eq_id_neg",
+    "limit slice-terminal": "term_z4 z4",
+    "limit slice-initial": "init_z4 z4 z4.sub",
+    "limit slice-product": "sp sp_fst sp_snd prod_xm_z2_z4_xm_z2_z4 c1_prod_xm_z2_z4_xm_z2_z4"
+    " xm_z2_z4 z2 z4",
+    "limit slice-pullback": "spb spb_fst spb_snd pb_xm_z2_z4_xm_terminal_z4"
+    " c1_pb_xm_z2_z4_xm_terminal_z4 xm_terminal_z4 xm_z2_z4 z2 z4",
+    "limit slice-equalizer": "seq seq_incl eq_same_flip eq0_same_flip eq1_same_flip xm_z2_z4 z2 z4",
+    "pullback-xmod": "pbx pbx_proj pb_xm_z2_z4_double c1_pb_xm_z2_z4_double xm_z2_z4 z2 z4",
+    "pullback-cat1": "pbc big_pb_cat1_xm_z2_z4_double z2",
+}
+
+
+def test_golden_constructions_write_exactly_their_files(tmp_path, monkeypatch, capsys):
+    """Each -o writes the object, its named legs and their companions, and nothing else."""
+    golden = Path(__file__).resolve().parent.parent / "golden"
+    lines = (golden / "commands.txt").read_text(encoding="utf-8").splitlines()
+    constructions = [ln.split() for ln in lines if " -o " in ln and not ln.startswith("#")]
+    assert len(constructions) == len(OUT_FILES)
+    for words in constructions:
+        key = " ".join(words[:2] if words[0] == "limit" else words[:1])
+        work = tmp_path / key.replace(" ", "_")
+        (work / "out").mkdir(parents=True)
+        for src in golden.glob("*.mci"):
+            shutil.copy(src, work / src.name)
+        monkeypatch.chdir(work)
+        assert main(words) == 0, key
+        capsys.readouterr()
+        written = sorted(f.name for f in (work / "out").iterdir())
+        assert written == sorted(f"{name}.mci" for name in OUT_FILES[key].split()), key
+
+
 def test_non_utf8_input_exits_two(tmp_path, capsys):
     (tmp_path / "bad.mci").write_bytes(b"structure z2\n\xff\n")
     code, out, err = run(capsys, "verify", str(tmp_path / "bad.mci"))
@@ -874,6 +914,12 @@ finally:
             ("morphisms", "actions", "xmod", "cat1", "limits", "pullbacks"),
         ),
         ("check-xmod xm_z2_z4.mci", ("actions", "xmod"), ("cat1", "pullbacks")),
+        (
+            "limit product z2.mci z3.mci",
+            ("limits", "morphisms"),
+            ("actions", "xmod", "cat1", "pullbacks"),
+        ),
+        ("to-cat1 xm_z2_z4.mci", ("actions", "xmod", "cat1"), ("pullbacks",)),
     ],
 )
 def test_commands_import_only_the_layers_they_run(command, used, unused):
@@ -887,7 +933,9 @@ def test_commands_import_only_the_layers_they_run(command, used, unused):
         )
 
     result = child("-c", _RUN_AND_LIST, *command.split())
-    assert result.returncode == 0 and "RESULT PASS" in result.stdout
+    assert result.returncode == 0
+    # a check prints its report, a construction its built object
+    assert "RESULT PASS" in result.stdout or result.stdout.startswith(("structure ", "cat1 "))
     # modules the interpreter's own start-up loads do not count
     startup = child("-c", "import sys; print(*sys.modules)").stdout.split()
     loaded = set(result.stderr.split()) - set(startup)

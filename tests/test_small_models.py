@@ -1,0 +1,48 @@
+"""The paper's equivalences on every small model of the group profile.
+
+(a) ``check_derived_action`` agrees with the exact oracle of a derived
+action: the semidirect product passes ``verify_structure``, its zero is
+(0, 0), ``proj`` and ``sect`` are morphisms, and ``action_from_section``
+of them gives back the same dot and star tables. (b) ``verify_xmod``
+agrees with ``verify_cat1`` of ``xmod_to_cat1``, and on a PASS the
+crossed module of that translation is isomorphic to the model. The
+models are ``small_models``; an assertion names the failing one's tables.
+"""
+
+from small_models import actions, tables, xmods
+from xmodkit.actions import action_from_section, check_derived_action, semidirect_product
+from xmodkit.cat1 import cat1_to_xmod, verify_cat1, xmod_to_cat1
+from xmodkit.morphisms import is_morphism
+from xmodkit.structures import verify_structure
+from xmodkit.xmod import find_xmod_isomorphism, verify_xmod
+
+
+def derived(act) -> bool:
+    """act is derived: its semidirect product is a structure that splits back into act."""
+    prod, _, proj, sect = semidirect_product(act)
+    if not verify_structure(prod).ok:
+        return False
+    if prod.zero != act.acted.zero * act.actor.n + act.actor.zero:
+        return False
+    if not (is_morphism(proj) and is_morphism(sect)):
+        return False
+    back = action_from_section(proj, sect)
+    return (back.dot, back.star_act) == (act.dot, act.star_act)
+
+
+def test_group_models_agree_with_their_oracles():
+    verdicts = []
+    for act in actions():
+        ok = check_derived_action(act).ok
+        assert ok == derived(act), tables(act)
+        verdicts.append(ok)
+    assert (len(verdicts), True in verdicts, False in verdicts) == (531, True, True)
+    verdicts = []
+    for xm in xmods():
+        ok = verify_xmod(xm).ok
+        c = xmod_to_cat1(xm)
+        assert verify_cat1(c).ok == ok, tables(xm)
+        if ok:
+            assert find_xmod_isomorphism(cat1_to_xmod(c), xm) is not None, tables(xm)
+        verdicts.append(ok)
+    assert (len(verdicts), True in verdicts, False in verdicts) == (4500, True, True)
