@@ -224,7 +224,10 @@ def semidirect_product(
 
 
 # sorts: A acted, B actor, S star symbols, U unary symbols; act[s], A*[s],
-# B*[s], A~[u] and B~[u] pick the table of a symbol
+# B*[s], A~[u] and B~[u] pick the table of a symbol. cond-11's S rows read
+# AS~ and BS~ (A~ and B~ at kind-S symbols, the identity at the others) and
+# its D row AD~ and BD~ (the reverse); at a symbol of the other kind both
+# sides of a row read act[s][j][x], so the row holds there.
 _ACTION_LAWS = (
     ("cond-1", "x:A", "(dot (B.0) x) = x", "A"),
     ("cond-2", "j:B x y:A", "(dot j (A.add x y)) = (A.add (dot j x) (dot j y))", "A"),
@@ -237,12 +240,12 @@ _ACTION_LAWS = (
     ("cond-8", "s:S x:A j:B y:A", "(A*[s] x (dot j y)) = (A*[s] x y)", "A"),
     ("cond-9", "s:S j j1:B x:A", "(act[s] j (dot j1 x)) = (act[s] j x)", "A"),
     ("cond-10", "u:U j:B x:A", "(A~[u] (dot j x)) = (dot (B~[u] j) (A~[u] x))", "A"),
-    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] j (A~[u] x))", "A",
-     "acted slot: lhs={lhs} rhs={rhs}", "(S-kind[u])"),
-    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] (B~[u] j) x)", "A",
-     "actor slot: lhs={lhs} rhs={rhs}", "(S-kind[u])"),
-    ("cond-11", "u:U s:S j:B x:A", "(A~[u] (act[s] j x)) = (act[s] (B~[u] j) (A~[u] x))", "A",
-     "lhs={lhs} rhs={rhs}", "(D-kind[u])"),
+    ("cond-11", "u:U s:S j:B x:A", "(AS~[u] (act[s] j x)) = (act[s] j (AS~[u] x))", "A",
+     "acted slot: lhs={lhs} rhs={rhs}"),
+    ("cond-11", "u:U s:S j:B x:A", "(AS~[u] (act[s] j x)) = (act[s] (BS~[u] j) x)", "A",
+     "actor slot: lhs={lhs} rhs={rhs}"),
+    ("cond-11", "u:U s:S j:B x:A",
+     "(AD~[u] (act[s] j x)) = (act[s] (BD~[u] j) (AD~[u] x))", "A"),
     # V: the distinct star values of the product, in index order, each
     # named by its first (row, symbol, column); P: the product carrier
     ("cond-12", "u v:V", "(add u v) = (add v u)", "P"),
@@ -253,7 +256,6 @@ def check_derived_action(act: DerivedAction) -> Report:
     a, b = act.acted, act.actor
     syms = b.profile.binary_symbols()
     usyms = b.profile.unary_symbols()
-    kinds = [b.profile.unary_kind(u) == "S" for u in usyms]
     # star values must commute with each other inside the product; rows
     # are made one at a time, and add rows only at the star values
     ids, pair = _product_ids(act), _pair_index(act)
@@ -273,8 +275,13 @@ def check_derived_action(act: DerivedAction) -> Report:
         "act": tuple([act.star_act[s] for s in syms]),
         "A*": tuple([a.star[s] for s in syms]), "B*": tuple([b.star[s] for s in syms]),
         "A~": tuple([a.omega[u] for u in usyms]), "B~": tuple([b.omega[u] for u in usyms]),
-        "S-kind": kinds, "D-kind": [not k for k in kinds],
         "add": dict(zip(vals, _product_rows(act, "add", vals, pair))),
     }
+    for kind in "SD":
+        for s, side in ((a, "A"), (b, "B")):
+            ops[f"{side}{kind}~"] = tuple([
+                s.omega[u] if b.profile.unary_kind(u) == kind else tuple(range(s.n))
+                for u in usyms
+            ])
     items = [check(lw, sorts, ops) for lw in law_table(_ACTION_LAWS)]
     return Report(f"action {act.name}", tuple(items))

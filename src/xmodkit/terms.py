@@ -183,17 +183,12 @@ def eval_term(t: Term, s: "Structure", env: Mapping[str, int]) -> int:
 
 
 class Equation(Record):
-    """lhs = rhs; a FAIL detail names both sides by the ids of ``sort``.
-
-    When ``when`` is given, the equation is only checked where that term
-    is true.
-    """
+    """lhs = rhs; a FAIL detail names both sides by the ids of ``sort``."""
 
     lhs: Term
     rhs: Term
     sort: str
     detail: str = "lhs={lhs} rhs={rhs}"
-    when: Term | None = None
 
 
 class Law(Record):
@@ -215,12 +210,12 @@ class Law(Record):
 Sorts = Mapping[str, tuple[Sequence[int], Sequence[str] | Mapping[int, str]]]
 
 
-_ROW_DEFAULTS = ("lhs={lhs} rhs={rhs}", "")  # detail, when
+_ROW_DEFAULTS = ("lhs={lhs} rhs={rhs}",)  # detail
 
 
 @functools.lru_cache(maxsize=None)
 def law_table(rows, symbols: Sequence[str] = (), unaries: Sequence[str] = ()) -> tuple[Law, ...]:
-    """Laws from rows ``(name, variables, "lhs = rhs", sort[, detail[, when]])``.
+    """Laws from rows ``(name, variables, "lhs = rhs", sort[, detail])``.
 
     Variables are written ``"x y:A j:B"`` (x and y of sort A). A row that
     mentions {sym} or {un} stands for one row per star or unary symbol.
@@ -232,10 +227,9 @@ def law_table(rows, symbols: Sequence[str] = (), unaries: Sequence[str] = ()) ->
         row = row + _ROW_DEFAULTS[len(row) - 4:]
         for s in symbols if "{sym}" in text else unaries if "{un}" in text else ("",):
             fields = [f.replace("{sym}", s).replace("{un}", s) for f in row]
-            name, variables, equation, sort, detail, when = fields
+            name, variables, equation, sort, detail = fields
             eq = parse_identity(name, equation)
-            guard = parse_term(when) if when else None
-            e = Equation(eq.lhs, eq.rhs, sort, detail, guard)
+            e = Equation(eq.lhs, eq.rhs, sort, detail)
             if laws and laws[-1].name == name:
                 laws[-1] = Law(name, laws[-1].variables, laws[-1].equations + (e,))
                 continue
@@ -277,10 +271,7 @@ def _compiled(lw: Law):
             ops.append(op)
         return ops.index(op), pick, tuple(list(map(shape, args)))
 
-    eqs = tuple([
-        (shape(e.lhs), shape(e.rhs), None if e.when is None else shape(e.when))
-        for e in lw.equations
-    ])
+    eqs = tuple([(shape(e.lhs), shape(e.rhs)) for e in lw.equations])
     key = (len(index), len(ops), eqs)
     scan = _SCANNERS.get(key)
     if scan is None:
@@ -323,14 +314,9 @@ def _generate(nvars: int, nops: int, eqs) -> Callable:
             node = index(node, build(a))
         return node
 
-    inner = nvars - 1
-    checks = []
-    for parts in eqs:
-        nodes = [None if p is None else build(p) for p in parts]
-        for n in nodes:
-            if n is not None:
-                consumers[n].append(inner)
-        checks.append(nodes)
+    checks = [(build(lhs), build(rhs)) for lhs, rhs in eqs]
+    for node in [n for pair in checks for n in pair]:
+        consumers[node].append(nvars - 1)
 
     names: dict = {}
 
@@ -357,11 +343,11 @@ def _generate(nvars: int, nops: int, eqs) -> Callable:
         lines += ["    " * (i + 2) + a for a in body[i]]
     pad = "    " * (nvars + 1)
     witness = "".join(f"v{i}, " for i in range(nvars))
-    for k, (lhs, rhs, when) in enumerate(checks):
-        cond = f"(l := {expr(lhs)}) != (r := {expr(rhs)})"
-        if when is not None:
-            cond = f"{expr(when)} and {cond}"
-        lines += [f"{pad}if {cond}:", f"{pad}    return ({witness}), {k}, l, r"]
+    for k, (lhs, rhs) in enumerate(checks):
+        lines += [
+            f"{pad}if (l := {expr(lhs)}) != (r := {expr(rhs)}):",
+            f"{pad}    return ({witness}), {k}, l, r",
+        ]
     lines.append("    return None")
     scope: dict = {}
     exec(compile("\n".join(lines), "<law scanner>", "exec"), scope)

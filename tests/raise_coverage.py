@@ -1,14 +1,18 @@
-"""List every ``raise`` in src/xmodkit that the tier-1 suite never runs.
+"""List every statement in src/xmodkit that the tier-1 suite never runs.
 
     PYTHONPATH=src python tests/raise_coverage.py [pytest args]
 
-Finds each ``raise`` statement of the package with :mod:`ast`, leaving out
-``__main__.py`` and the bodies of ``if __name__ == "__main__":``, then runs
-the tier-1 suite in this process under :func:`sys.settrace`. A raise has
-run when any line it spans has. Exits 1 and lists each one that never ran,
-else exits with pytest's status. Uses the standard library and pytest only;
-the name keeps pytest from collecting it as a test module. Tracing makes
-the suite run three to four times slower.
+Finds each simple statement of the package (one holding no other
+statement: a ``raise``, a ``return``, an assignment, ...) with :mod:`ast`,
+leaving out ``__main__.py``, the bodies of ``if __name__ == "__main__":``
+and of ``if TYPE_CHECKING:``, and statements that compile to no code, such
+as docstrings. It then runs the tier-1 suite once in this process under
+:func:`sys.settrace`. A statement has run when any line it spans has. A
+compound statement has run when one in its body has, so the simple ones
+cover every line of code. Exits 1 and lists each statement that never ran,
+raises first, else exits with pytest's status. Uses the standard library
+and pytest only; the name keeps pytest from collecting it as a test module.
+Tracing makes the suite run three to four times slower.
 """
 
 from __future__ import annotations
@@ -23,51 +27,67 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "xmodkit"
 
 
-def _is_main_guard(node: ast.AST) -> bool:
+def _is_skipped_block(node: ast.AST) -> bool:
+    """``if __name__ == "__main__":`` or ``if TYPE_CHECKING:``."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
     return (
-        isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
-        and isinstance(node.test.left, ast.Name)
-        and node.test.left.id == "__name__"
-        and any(
-            isinstance(c, ast.Constant) and c.value == "__main__" for c in node.test.comparators
-        )
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and test.left.id == "__name__"
+        and any(isinstance(c, ast.Constant) and c.value == "__main__" for c in test.comparators)
     )
 
 
-def _raises(node: ast.AST):
-    """(first line, last line) of every raise under node, main guards skipped."""
+def _statements(node: ast.AST):
+    """Every simple statement under node, skipped blocks left out."""
     for child in ast.iter_child_nodes(node):
-        if _is_main_guard(child):
+        if _is_skipped_block(child):
             continue
-        if isinstance(child, ast.Raise):
-            yield child.lineno, child.end_lineno
-        yield from _raises(child)
+        if isinstance(child, ast.stmt) and not any(
+            isinstance(c, ast.stmt) for c in ast.iter_child_nodes(child)
+        ):
+            yield child
+        yield from _statements(child)
 
 
-def find_raises() -> dict[str, dict[int, int]]:
-    """file path -> {line -> first line of the raise spanning it}."""
-    out: dict[str, dict[int, int]] = {}
+def _code_lines(code) -> set[int]:
+    """The lines that hold bytecode in code and every code object inside it."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def find_statements() -> dict[str, dict[int, ast.stmt]]:
+    """file path -> {line -> the statement spanning it}, lines with bytecode only."""
+    out: dict[str, dict[int, ast.stmt]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__main__.py":
             continue
+        source = path.read_text()
+        code = _code_lines(compile(source, str(path), "exec"))
         spans = out[str(path)] = {}
-        for first, last in _raises(ast.parse(path.read_text(), str(path))):
-            spans.update(dict.fromkeys(range(first, last + 1), first))
+        for st in _statements(ast.parse(source, str(path))):
+            spans.update(dict.fromkeys(code.intersection(range(st.lineno, st.end_lineno + 1)), st))
     return out
 
 
 def main(argv: list[str]) -> int:
-    spans = find_raises()
+    spans = find_statements()
     hit: set[tuple[str, int]] = set()
     tracers: dict = {}  # code file name as the interpreter gives it -> local tracer
 
-    def tracer_for(path: str, found: dict[int, int]):
+    def tracer_for(path: str, found: dict[int, ast.stmt]):
         def tracer(frame, event, arg):
             if event == "line":
-                first = found.get(frame.f_lineno)
-                if first is not None:
-                    hit.add((path, first))
+                st = found.get(frame.f_lineno)
+                if st is not None:
+                    hit.add((path, st.lineno))
             return tracer
 
         return tracer
@@ -85,15 +105,17 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
     missed = sorted(
-        (Path(f).relative_to(ROOT), first)
-        for f, found in spans.items()
-        for first in set(found.values())
-        if (f, first) not in hit
+        {
+            (not isinstance(st, ast.Raise), Path(f).relative_to(ROOT), st.lineno, type(st).__name__)
+            for f, found in spans.items()
+            for st in found.values()
+            if (f, st.lineno) not in hit
+        }
     )
-    for path, first in missed:
-        print(f"{path}:{first}: raise never ran")
+    for _, path, line, kind in missed:
+        print(f"{path}:{line}: {kind.lower()} never ran")
     if missed:
-        print(f"{len(missed)} raise statements never ran under tier-1")
+        print(f"{len(missed)} statements never ran under tier-1")
         return 1
     return int(status)
 

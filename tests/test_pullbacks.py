@@ -323,6 +323,18 @@ def test_square_commutes_report():
     assert "images" in rep.items[2].detail
 
 
+def test_square_without_comparison_fails(monkeypatch):
+    # no input is known where the search finds no comparison, so stub it out
+    monkeypatch.setattr("xmodkit.pullbacks.find_cat1_isomorphism", lambda *args: None)
+    f2x = oracle_poly(2, "f2x")
+    xm = inclusion_xmod(f2x, (0, 2))
+    rep = square_commutes(xm, hom("collapse", f2x, f2x, (0, 1, 0, 1)))
+    assert rep.render().splitlines()[2:] == [
+        "FAIL isomorphic: no invertible comparison found",
+        f"RESULT FAIL square {xm.name} along collapse",
+    ]
+
+
 def test_square_commutes_for_algebra_ideal():
     f2x = oracle_poly(2, "f2x")
     xm = inclusion_xmod(f2x, (0, 2))

@@ -5,16 +5,24 @@ action: the semidirect product passes ``verify_structure``, its zero is
 (0, 0), ``proj`` and ``sect`` are morphisms, and ``action_from_section``
 of them gives back the same dot and star tables. (b) ``verify_xmod``
 agrees with ``verify_cat1`` of ``xmod_to_cat1``, and on a PASS the
-crossed module of that translation is isomorphic to the model. The
-models are ``small_models``; an assertion names the failing one's tables.
+crossed module of that translation is isomorphic to the model. (e)
+``square_commutes`` holds for every PASS model X and every morphism phi
+from a small group T into X's base whose square has a split carrier
+sum |d^-1(phi(t))| * |T| of at most ``SQUARE_MAX``. The models are
+``small_models``; an assertion names the failing one's tables.
 """
 
-from small_models import actions, tables, xmods
+from collections import Counter
+
+from small_models import actions, groups, tables, xmods
 from xmodkit.actions import action_from_section, check_derived_action, semidirect_product
 from xmodkit.cat1 import cat1_to_xmod, verify_cat1, xmod_to_cat1
-from xmodkit.morphisms import is_morphism
+from xmodkit.morphisms import enumerate_morphisms, is_morphism
+from xmodkit.pullbacks import square_commutes
 from xmodkit.structures import verify_structure
 from xmodkit.xmod import find_xmod_isomorphism, verify_xmod
+
+SQUARE_MAX = 16  # the largest split carrier the search_sweep squares take
 
 
 def derived(act) -> bool:
@@ -46,3 +54,18 @@ def test_group_models_agree_with_their_oracles():
             assert find_xmod_isomorphism(cat1_to_xmod(c), xm) is not None, tables(xm)
         verdicts.append(ok)
     assert (len(verdicts), True in verdicts, False in verdicts) == (4500, True, True)
+
+
+def test_group_squares_commute():
+    models = [xm for xm in xmods() if verify_xmod(xm).ok]
+    squares = 0
+    for xm in models:
+        hits = Counter(xm.boundary.map)
+        for t in groups():
+            for phi in enumerate_morphisms(t, xm.c0):
+                if sum(hits[c] for c in phi.map) * t.n > SQUARE_MAX:
+                    continue
+                rep = square_commutes(xm, phi, max_size=SQUARE_MAX)
+                assert rep.ok, f"{tables(xm)} phi={t.name}->{xm.c0.name} {phi.map}"
+                squares += 1
+    assert (len(models), squares) == (103, 1195)

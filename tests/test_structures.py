@@ -92,6 +92,14 @@ def test_no_identity_element_reported():
     assert not evaluate_law(s, "add-zero-exists", ())
 
 
+def test_no_law_holds_without_a_zero():
+    # every law but add-zero-exists is stated over a structure with a zero
+    add = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    s = make_structure("junk", get_profile("group"), ("0", "1", "2"), add, (0, 0, 0), {}, {})
+    assert s.zero is None
+    assert evaluate_law(s, "add-assoc", ("0", "1", "2")) is False
+
+
 def test_f2x_passes_all_laws():
     rep = verify_structure(poly_f2())
     assert rep.ok
