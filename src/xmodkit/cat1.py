@@ -9,7 +9,7 @@ the roundtrips are exercised in the tests. Legs meet at ``same_structure``
 carriers; ``xmod._same_object`` compares split objects by carriers and
 ``tables`` (embed, src, tgt). The crossed modules' morphism verifier, Hom
 search and isomorphism finder serve here too; the square laws and the
-big-major search ``_big_search`` (embedded base generators first) stay here.
+pins of ``_big_search`` stay here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .morphisms import (
 )
 from .records import Record
 from .report import CheckItem, Report, check, merge_pre
-from .structures import Morphism, Structure, _generating_data, carrier, operations, same_structure
+from .structures import Morphism, Structure, carrier, operations, same_structure
 from .structures import verify_structure
 from .terms import law_filter, law_table
 from .xmod import CrossedModule, XModMorphism, _level_report, make_xmod
@@ -190,10 +190,9 @@ def xmod_morphism_to_cat1(
 
 
 def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, keep=None):
-    """Morphisms over the base maps, big-major, named name(k). The big
-    generators start with the embedded base's; under psi, the square laws
-    at g pin embed(q) to embed(psi q) and any g to the y over psi(src g)
-    and psi(tgt g), where keep(g, y) holds."""
+    """Morphisms over the base maps, base-major, named name(k): under psi,
+    the square laws at a big generator g pin embed(q) to embed(psi q) and
+    any g to the y over psi(src g) and psi(tgt g), where keep(g, y) holds."""
     d_src, d_tgt, c_src, c_tgt = dom.src.map, dom.tgt.map, cod.src.map, cod.tgt.map
     embedded = {g: q for q, g in enumerate(dom.embed.map)}
 
@@ -205,23 +204,22 @@ def _big_search(dom: Cat1Object, cod: Cat1Object, bases, name, keep=None):
         ]
 
     holds = law_filter(*_square_env(dom, cod), "psi", "phi")
-    seeds = [dom.embed.map[q] for q in _generating_data(dom.base)[0]]
-    pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds, seeds)
+    pairs = _pinned_pairs(dom.big, cod.big, bases, pin, holds)
     return [
         Cat1Morphism(name(k), dom, cod, Morphism(f"big_{name(k)}", dom.big, cod.big, big), base)
-        for k, (base, big) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0].map)))
+        for k, (base, big) in enumerate(pairs)
     ]
 
 
 def enumerate_cat1_morphisms(
     dom: Cat1Object, cod: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> list[Cat1Morphism]:
-    """All (big, base) morphism pairs, big-major, that pass the squares."""
+    """All (big, base) morphism pairs, base-major, that pass the squares."""
     return _level_homs(dom, cod, _big_search, "c1m", max_size)
 
 
 def find_cat1_isomorphism(
     a: Cat1Object, b: Cat1Object, max_size: int = DEFAULT_MAX_SIZE
 ) -> Optional[Cat1Morphism]:
-    """First morphism, big-major, that is bijective at both levels, or None."""
+    """First morphism, base-major, that is bijective at both levels, or None."""
     return _level_iso(a, b, _big_search, max_size)

@@ -474,22 +474,24 @@ def _write_structures(dirpath: Path, structs) -> None:
 
 
 def _save(kind: str, obj, path) -> None:
-    """Write the files obj references next to path, structures first, then obj's file."""
+    """Write the files obj references next to path, structures first, then
+    obj's file; refuse before writing any if path is one of them."""
     p = Path(path)
     ref_kind, keys = _KINDS[kind]
     parts = [getattr(obj, key) for key in keys]
-    if ref_kind == "xmod":
+    modules = parts if ref_kind == "xmod" else []
+    structs = [getattr(xm, key) for xm in modules for key in _KINDS["xmod"][1]] or parts
+    if p.name in {f"{part.name}.mci" for part in (*modules, *structs)}:
+        raise StructuralError(f"refusing to overwrite {p.name}: {kind} {obj.name} references it")
+    if modules:
         from .xmod import _same_object
 
-        dom, cod = parts
+        dom, cod = modules
         if dom.name == cod.name and not _same_object(dom, cod):
             raise StructuralError(f"two different modules share the name {dom.name!r}")
-        structs = [getattr(xm, key) for xm in parts for key in _KINDS["xmod"][1]]
-        _write_structures(p.parent, structs)
-        for xm in parts:
-            _write_named(p.parent / f"{xm.name}.mci", serialize_xmod(xm))
-    else:
-        _write_structures(p.parent, parts)
+    _write_structures(p.parent, structs)
+    for xm in modules:
+        _write_named(p.parent / f"{xm.name}.mci", serialize_xmod(xm))
     p.write_text(globals()[f"serialize_{kind}"](obj), encoding="utf-8")  # by name, as in load
 
 

@@ -152,11 +152,10 @@ def _image_tables(a: Structure, b: Structure, order, allowed):
 
     A candidate gives generator k an image from allowed[k]; it is
     extended along the derivations order of _generating_data and yielded
-    if it passes the laws of ``morphism_report``, bound once. Without seeds
-    and with each allowed[k] ascending, tables come in increasing order:
-    generator k is the least index outside the span of the earlier ones and
-    its image is its candidate, so every earlier position is fixed by
-    earlier candidates."""
+    if it passes the laws of ``morphism_report``, bound once. With each
+    allowed[k] ascending, tables come in increasing order: generator k is
+    the least index outside the span of the earlier ones and its image is
+    its candidate, so every earlier position is fixed by earlier candidates."""
     preserves = law_filter(*_hom_env(a, b), "f")
     n, b_add, b_zero = a.n, b.add, b.zero
     for images in itertools.product(*allowed):
@@ -176,12 +175,12 @@ def _by_order(a: Structure, b: Structure, gens) -> list[list[int]]:
     ]
 
 
-def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds, first=()) -> list:
-    """(lower, table) pairs, lower-major, in ``_image_tables`` order (so
-    tables ascending without first): under each lower morphism, the tables
-    a -> b whose generators g (from first on) take images pin(lower map,
-    g, ys) of the order-allowed ys, and that pass holds(lower map, table)."""
-    gens, order = _generating_data(a, first)
+def _pinned_pairs(a: Structure, b: Structure, lowers, pin, holds) -> list:
+    """(lower, table) pairs, lower-major and tables ascending under each
+    lower morphism: the tables a -> b whose generators g take images
+    pin(lower map, g, ys) of the order-allowed ys, and that pass
+    holds(lower map, table)."""
+    gens, order = _generating_data(a)
     ranked = _by_order(a, b, gens)
     return [
         (low, m)

@@ -303,9 +303,9 @@ def verify_structure(s: Structure) -> Report:
     return Report(subject, tuple(items))
 
 
-def _generating_data(s: Structure, first=()):
-    """Additive generators (those of first not yet reached, then greedy
-    picks) plus a derivation of every nonzero element.
+def _generating_data(s: Structure):
+    """Additive generators (greedy picks: each the least index outside the
+    span of the earlier ones) plus a derivation of every nonzero element.
 
     A derivation (element, parent, k) means element = parent + gens[k],
     with parent zero or derived earlier; generator k is zero + gens[k].
@@ -314,7 +314,7 @@ def _generating_data(s: Structure, first=()):
     known = {s.zero}
     order: list[tuple[int, int, int]] = []
     gens: list[int] = []
-    for x in (*first, *range(s.n)):
+    for x in range(s.n):
         if x in known:
             continue
         gens.append(x)

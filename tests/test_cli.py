@@ -792,6 +792,25 @@ def test_construction_refuses_to_overwrite_differing_companion(tmp_path, capsys)
     assert err == "ERROR refusing to overwrite z4.mci: existing file differs\n"
 
 
+@pytest.mark.parametrize("words,what", [
+    ("limit slice-terminal z4.mci", "xmod term_z4"),
+    ("to-cat1 xm_z2_z4.mci", "cat1 cat1_xm_z2_z4"),
+])
+def test_construction_refuses_to_overwrite_a_file_it_references(
+    tmp_path, monkeypatch, capsys, words, what
+):
+    """-o onto the base file the output references exits 2 and writes no file."""
+    golden = Path(__file__).resolve().parent.parent / "golden"
+    for src in golden.glob("*.mci"):
+        shutil.copy(src, tmp_path / src.name)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *words.split(), "-o", "z4.mci")
+    assert code == 2
+    assert err == f"ERROR refusing to overwrite z4.mci: {what} references it\n"
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
 def test_golden_commands_cover_every_subcommand_and_kind():
     commands = Path(__file__).resolve().parent.parent / "golden" / "commands.txt"
     lines = [

@@ -330,6 +330,26 @@ def test_save_rejects_colliding_names(tmp_path):
         save_morphism(clash, tmp_path / "m2.mci")
 
 
+def test_save_refuses_to_overwrite_a_referenced_file(tmp_path):
+    """A save onto a file the object references (a structure, or a module of
+    an xmodmorphism) raises before it writes anything."""
+    xm = make_standard_xmods()["xm_z2_z4"]
+    c = make_standard_cat1s()["xm_z2_z4"]
+    m = XModMorphism("m", xm, xm, identity_morphism(xm.c1), identity_morphism(xm.c0))
+    cases = (
+        (save_xmod, xm, "z2.mci", "xmod xm_z2_z4"),
+        (save_cat1, c, "z4.mci", "cat1 cat1_xm_z2_z4"),
+        (save_cat1, c, "big_cat1_xm_z2_z4.mci", "cat1 cat1_xm_z2_z4"),
+        (save_xmodmorphism, m, "xm_z2_z4.mci", "xmodmorphism m"),
+        (save_xmodmorphism, m, "z4.mci", "xmodmorphism m"),
+    )
+    for save, obj, name, what in cases:
+        with pytest.raises(StructuralError) as e:
+            save(obj, tmp_path / name)
+        assert str(e.value) == f"refusing to overwrite {name}: {what} references it"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_content_after_end_names_its_line(tmp_path):
     with pytest.raises(ParseError) as e:
         parse_structure(Z2_TEXT + "\n# trailing\nneg 0 1\n")

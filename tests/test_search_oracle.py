@@ -100,7 +100,7 @@ def _cat1_route(d, c) -> list:
     """(name, big, base, base name) of every morphism d -> c, unpinned."""
     bigs = enumerate_morphisms(d.big, c.big, d.big.n)
     bases = enumerate_morphisms(d.base, c.base, d.base.n)
-    pairs = [(p.map, q) for p in bigs for q in bases if _cat1_squares(d, c, p.map, q.map)]
+    pairs = [(p.map, q) for q in bases for p in bigs if _cat1_squares(d, c, p.map, q.map)]
     return [(f"c1m{k}_{d.name}_{c.name}", p, q.map, q.name) for k, (p, q) in enumerate(pairs)]
 
 
@@ -256,12 +256,12 @@ def _drop_last(monkeypatch, only_from_several: bool):
     for module in (xmodkit.xmod, xmodkit.cat1):
         search = module._pinned_pairs
 
-        def lossy(a, b, lowers, pin, holds, first=(), search=search):
+        def lossy(a, b, lowers, pin, holds, search=search):
             def pin_less(low, g, ys):
                 kept = pin(low, g, ys)
                 return kept if only_from_several and len(kept) < 2 else kept[:-1]
 
-            return search(a, b, lowers, pin_less, holds, first)
+            return search(a, b, lowers, pin_less, holds)
 
         monkeypatch.setattr(module, "_pinned_pairs", lossy)
 

@@ -69,3 +69,27 @@ def test_group_squares_commute():
                 assert rep.ok, f"{tables(xm)} phi={t.name}->{xm.c0.name} {phi.map}"
                 squares += 1
     assert (len(models), squares) == (103, 1195)
+
+
+if __name__ == "__main__":
+    # (e) on every square, each searched with max_size its split carrier (at
+    # least 12); exits 1 on a failing square or a changed count:
+    #     PYTHONPATH=src python tests/test_small_models.py
+    import sys
+    import time
+
+    start = time.perf_counter()
+    models = [xm for xm in xmods() if verify_xmod(xm).ok]
+    squares, failed = 0, []
+    for xm in models:
+        hits = Counter(xm.boundary.map)
+        for t in groups():
+            for phi in enumerate_morphisms(t, xm.c0):
+                size = sum(hits[c] for c in phi.map) * t.n
+                if not square_commutes(xm, phi, max_size=max(12, size)).ok:
+                    failed.append(f"{tables(xm)} phi={t.name}->{xm.c0.name} {phi.map}")
+                squares += 1
+    seconds = time.perf_counter() - start
+    summary = f"{len(models)} models, {squares} squares, {len(failed)} failed, {seconds:.1f} s"
+    print("\n".join([*failed, summary]))
+    sys.exit(1 if failed or (len(models), squares) != (103, 1868) else 0)
